@@ -3,7 +3,16 @@
 This module is the ground truth for every Jordan-type claim in the
 package: matrices are numpy int64 arrays with entries reduced to
 canonical representatives 0..p-1, and rank is computed by Gaussian
-elimination in exact modular arithmetic.  No floating point anywhere.
+elimination in exact modular arithmetic.
+
+Elimination runs in int64, whose products of two reduced entries stay
+below 2^63 while (p-1)^2 < 2^63.  The Jordan-type oracle also multiplies
+an r x n matrix by an n x n one; each entry of such a product is a sum
+of n terms below (p-1)^2, so it runs in float64 BLAS while
+n*(p-1)^2 < 2^53 (every partial sum is then an integer that float64
+holds exactly) and in int64 while n*(p-1)^2 < 2^63.  rank and
+jordan_block_sizes raise ShapeError beyond the int64 bound instead of
+overflowing.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, symmetric powers of the standard unipotent)
@@ -26,6 +35,10 @@ from .errors import (
 
 # Dense matrices only; desk-scale checks stay far below this.
 MAX_DIMENSION = 4096
+
+# Integers up to these bounds are exact in float64 and in int64.
+_FLOAT64_EXACT = 2**53
+_INT64_EXACT = 2**63
 
 
 def is_prime(n: int) -> bool:
@@ -103,10 +116,6 @@ def kronecker(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
     return np.kron(a, b) % field.p
 
 
-def matmul(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
-    return (field.reduce(a) @ field.reduce(b)) % field.p
-
-
 def block_diagonal(blocks, field: PrimeField) -> np.ndarray:
     """Assemble square blocks into one block-diagonal matrix mod p."""
     blocks = [field.reduce(b) for b in blocks]
@@ -122,34 +131,57 @@ def block_diagonal(blocks, field: PrimeField) -> np.ndarray:
     return out
 
 
+def _check_int64_exact(n: int, p: int) -> None:
+    """Reject inputs whose sums of n products mod p could overflow int64."""
+    if n * (p - 1) ** 2 >= _INT64_EXACT:
+        raise ShapeError(
+            f"n = {n} over GF({p}) needs n*(p-1)^2 < 2^63 for exact int64 arithmetic"
+        )
+
+
+def _echelon(m: np.ndarray, field: PrimeField) -> np.ndarray:
+    """Row-echelon basis of the row space of m over GF(p).
+
+    m must be int64 with entries in 0..p-1; it is overwritten.  Returns
+    the nonzero rows, one per pivot.
+    """
+    p = field.p
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivots = m[r:, c].nonzero()[0]
+        if pivots.size == 0:
+            continue
+        i = r + int(pivots[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        # entries left of c vanish in rows r.. , so work on columns c.. only
+        m[r, c:] = (m[r, c:] * field.inverse(m[r, c])) % p
+        # after the swap, row i is zero in column c, so the rows still to
+        # clear are the other pivots
+        below = pivots[1:] + r
+        if below.size:
+            block = m[below, c:]
+            block -= np.outer(block[:, 0], m[r, c:])
+            block %= p
+            m[below, c:] = block
+        r += 1
+    return m[:r]
+
+
 def rank(a: np.ndarray, field: PrimeField) -> int:
     """Rank over GF(p) by Gaussian elimination.
 
     Row operations are vectorised with numpy but all arithmetic is exact
     int64 mod p.
     """
-    m = field.reduce(a).copy()
+    m = field.reduce(a)
     if m.ndim != 2:
         raise ShapeError("rank expects a 2-d matrix")
-    rows, cols = m.shape
-    p = field.p
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(m[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        i = r + int(pivots[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * field.inverse(m[r, c])) % p
-        below = np.nonzero(m[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            m[idx] = (m[idx] - np.outer(m[idx, c], m[r])) % p
-        r += 1
-    return r
+    _check_int64_exact(m.shape[1], field.p)
+    return int(_echelon(m, field).shape[0])
 
 
 def _multiply_linear_power(
@@ -199,28 +231,40 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     Computed from the rank sequence of N = m - I: the number of blocks of
     size >= s equals rank(N^(s-1)) - rank(N^s).  Raises NotOrderPError
     unless N^p = 0 (equivalently, m is unipotent with all blocks <= p).
+
+    N^s is never formed: row(N^s) = row(N^(s-1)) N, so an echelon basis of
+    row(N^(s-1)) is pushed through N and reduced again, and it shrinks at
+    every step.
     """
-    a = field.reduce(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    nil = field.reduce(m)
+    if nil.ndim != 2 or nil.shape[0] != nil.shape[1]:
         raise ShapeError("jordan type needs a square matrix")
-    n = a.shape[0]
-    nil = (a - identity(n)) % field.p
+    n = nil.shape[0]
+    p = field.p
+    _check_int64_exact(n, p)
+    nil -= identity(n)
+    nil %= p
+    # every entry of basis @ nil is a sum of n products below (p-1)^2
+    exact_dtype = np.float64 if n * (p - 1) ** 2 < _FLOAT64_EXACT else np.int64
+    right = nil.astype(exact_dtype)
     ranks = [n]
-    power = nil
+    basis = _echelon(nil, field)
     s = 1
     while True:
-        r = rank(power, field)
+        r = basis.shape[0]
         if r >= ranks[-1] and r > 0:
             # rank sequence stabilised above zero: not nilpotent
             raise NotOrderPError("matrix is not unipotent")
         ranks.append(r)
         if r == 0:
             break
-        if s == field.p:
+        if s == p:
             raise NotOrderPError(
-                f"(m - 1)^{field.p} != 0: element order exceeds p = {field.p}"
+                f"(m - 1)^{p} != 0: element order exceeds p = {p}"
             )
-        power = (power @ nil) % field.p
+        basis = basis.astype(exact_dtype, copy=False) @ right
+        basis %= p
+        basis = _echelon(basis.astype(np.int64, copy=False), field)
         s += 1
     at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
     at_least.append(0)

@@ -36,6 +36,7 @@ from . import ffmatrix
 from .errors import (
     DescriptorParseError,
     NotRealizableError,
+    ShapeError,
     WeightError,
 )
 from .ffmatrix import PrimeField
@@ -304,8 +305,15 @@ def realize(d: ModuleDescriptor) -> np.ndarray:
     Each irreducible factor is realized as a symmetric power of the
     standard unipotent and factors are combined by Kronecker products;
     summands are stacked block-diagonally.  Tilting summands carry no
-    matrix model here and raise NotRealizableError.
+    matrix model here and raise NotRealizableError; modules above
+    ffmatrix.MAX_DIMENSION raise ShapeError before anything is allocated.
     """
+    dim = dimension(d)
+    if dim > ffmatrix.MAX_DIMENSION:
+        raise ShapeError(
+            f"module dimension {dim} exceeds the configured bound "
+            f"{ffmatrix.MAX_DIMENSION}"
+        )
     field = PrimeField(d.p)
     u = ffmatrix.unipotent_jordan_block(field, 2)
 

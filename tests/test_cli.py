@@ -77,6 +77,14 @@ def test_module_command():
     assert payload["result"]["realizable"] is False
 
 
+def test_module_command_too_large_to_realize(capsys):
+    code, payload = capture_json(["module", "-p", "5", "100000*triv"])
+    assert code == 0
+    assert payload["result"]["dimension"] == 100000
+    assert payload["result"]["realizable"] is False
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_witnesses_command():
     code, payload = capture_json(
         ["witnesses", "--family", "Sp", "--p", "5", "--partition", "5,5"]

@@ -17,6 +17,7 @@ from a1unicity.ffmatrix import (
     sym_power,
     unipotent_jordan_block,
 )
+from a1unicity.jordan import tensor_pair, tensor_pair_oracle
 
 
 def test_prime_field_rejects_composites():
@@ -136,3 +137,72 @@ def test_rank_examples():
     assert rank(np.zeros((3, 3), dtype=np.int64), f5) == 0
     a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # row 2 = 2 * row 1 mod 5
     assert rank(a, f5) == 2
+
+
+@pytest.mark.parametrize("m, n, p", [(20, 23, 23), (17, 26, 29)])
+def test_oracle_matches_closed_form_on_large_pairs(m, n, p):
+    assert tensor_pair_oracle(m, n, p) == tensor_pair(m, n, p)
+
+
+def test_oracle_int64_path_matches_closed_form():
+    p = 100000007
+    assert (p - 1) ** 2 >= 2**53  # so the products run in int64
+    for m in range(1, 6):
+        for n in range(m, 7):
+            assert tensor_pair_oracle(m, n, p) == tensor_pair(m, n, p)
+
+
+_PERMUTATION = np.random.default_rng(12).permutation(12)
+
+
+def _conjugate(a):
+    """P a P^-1 for the permutation matrix P of _PERMUTATION."""
+    return a[np.ix_(_PERMUTATION, _PERMUTATION)]
+
+
+def test_rejections_survive_conjugation():
+    f5 = PrimeField(5)
+    long_block = np.eye(12, dtype=np.int64)
+    for i in range(6):
+        long_block[i, i + 1] = 1  # J(7) + 5 * J(1): order 25 > 5
+    with pytest.raises(NotOrderPError) as err:
+        jordan_block_sizes(_conjugate(long_block), f5)
+    assert str(err.value) == "(m - 1)^5 != 0: element order exceeds p = 5"
+
+    mixed = np.eye(12, dtype=np.int64)
+    for i in range(2):
+        mixed[i, i + 1] = 1
+    mixed[11, 11] = 2  # eigenvalue 2: ranks of N^s stabilise at 1
+    with pytest.raises(NotOrderPError) as err:
+        jordan_block_sizes(_conjugate(mixed), f5)
+    assert str(err.value) == "matrix is not unipotent"
+    # the same conjugate is a legal element once p admits the block
+    assert jordan_block_sizes(_conjugate(long_block), PrimeField(7)) == (7,) + (1,) * 5
+
+
+def _rank_one(p):
+    """2 x 2 matrix of rank 1 over GF(p): row 2 is (p - 3) * row 1."""
+    return np.array([[1, p - 2], [p - 3, (p - 2) * (p - 3) % p]])
+
+
+def _square_zero_unipotent(p):
+    """I + v w^T with w.v = p, so (m - 1)^2 = 0 and the type is (2, 1)."""
+    v = np.array([1, p - 2, 3])
+    w = np.array([2, 1, 0])
+    return (np.eye(3, dtype=np.int64) + np.outer(v, w)) % p
+
+
+def test_int64_overflow_is_rejected():
+    field = PrimeField(4294967311)  # (p - 1)^2 > 2^63
+    with pytest.raises(ShapeError):
+        rank(_rank_one(field.p), field)
+    with pytest.raises(ShapeError) as err:
+        jordan_block_sizes(_square_zero_unipotent(field.p), field)
+    assert "\n" not in str(err.value)
+
+
+def test_large_primes_below_int64_bound():
+    p = 2147483647  # 2 * (p - 1)^2 < 2^63
+    assert rank(_rank_one(p), PrimeField(p)) == 1
+    p = 1000000007  # 3 * (p - 1)^2 < 2^63
+    assert jordan_block_sizes(_square_zero_unipotent(p), PrimeField(p)) == (2, 1)

@@ -3,9 +3,10 @@ import pytest
 from a1unicity.errors import (
     DescriptorParseError,
     NotRealizableError,
+    ShapeError,
     WeightError,
 )
-from a1unicity.ffmatrix import PrimeField
+from a1unicity.ffmatrix import MAX_DIMENSION, PrimeField
 from a1unicity.jordan import jordan_type_of_unipotent
 from a1unicity.sl2modules import (
     Doubled,
@@ -89,6 +90,8 @@ def test_realize_examples():
     assert jordan_type_of_unipotent(m, f5).blocks == (3, 1)
     with pytest.raises(NotRealizableError):
         realize(ModuleDescriptor((Tilting(7),), 7))
+    with pytest.raises(ShapeError):
+        realize(ModuleDescriptor((Trivial(MAX_DIMENSION + 1),), 5))
 
 
 def test_realize_weyl_and_doubled():
