@@ -29,12 +29,12 @@ from .errors import DomainError
 from .jordan import jnotation, tensor_multi
 from .sl2modules import (
     FormType,
+    check_realizable,
     dimension,
     form_type,
     format_descriptor,
     jordan_type,
     parse_descriptor,
-    realize,
 )
 
 
@@ -121,7 +121,7 @@ def _cmd_module(args, out) -> int:
     d = parse_descriptor(args.descriptor, args.p)
     t = jordan_type(d)
     try:
-        realize(d)
+        check_realizable(d)
         realizable = True
     except DomainError:
         realizable = False

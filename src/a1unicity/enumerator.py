@@ -1,16 +1,38 @@
 """Brute-force enumeration of completely reducible module structures.
 
-Given a target Jordan type on the natural module, this walks every
-multiset of summands built from twisted tensor-product irreducibles,
-hyperbolic doublings and trivial summands, keeps the ones matching the
-target type and the ambient form, and reduces the survivors to canonical
-representatives under the equivalence "shift every Frobenius twist by a
-constant, up to module isomorphism".  The number of surviving classes is
-an independent re-derivation of the classical unicity verdicts: a
+Given a target Jordan type on the natural module, this counts the
+multisets of summands built from twisted tensor-product irreducibles
+(the atoms, with twists in 0..max_twist), hyperbolic doublings and
+trivial summands whose Jordan types add up to the target and which
+respect the ambient form, up to the equivalence "shift every Frobenius
+twist by a constant, up to module isomorphism".  The number of classes
+is an independent re-derivation of the classical unicity verdicts: a
 partition meets a unique class of A1-overgroups exactly when one
 canonical structure survives and raising the twist bound adds nothing.
 
-Canonical form details:
+The count is one memoized recursion over the atom pool.  It chooses a
+multiplicity k for each atom in pool order, and every admissibility
+test is local to that choice:
+
+  * odd k leaves a lone copy, which must carry the ambient form itself
+    (pairs always pair up hyperbolically);
+  * with distinct_irr, k <= 1 and every chosen atom carries the form;
+  * at the leaf the leftover 1-blocks are the trivial summand: an even
+    number of them under a symplectic form, at most one with
+    distinct_irr.
+
+The state is the atom index, the remaining block counts and two flags:
+"some chosen factor has twist 0" and "some chosen factor has twist
+max_twist".  A multiset whose least twist is s > 0 is the shift of one
+whose least twist is 0, so the classes are exactly the completions with
+the twist-0 flag, and no shifts need deduplicating; the all-trivial
+structure adds one more when it is admissible.  The family grows with
+the twist bound iff some completion sets both flags.  The memo belongs
+to one query and is freed with its result.
+
+The listing is lazy: EnumerationResult.classes walks the same memo on
+first read, enters only branches whose count is nonzero and builds each
+class's descriptor once, in canonical form:
 
   * the minimum twist over all factors of all nontrivial summands is 0;
   * m isomorphic copies of an irreducible M are stored as floor(m/2)
@@ -19,13 +41,21 @@ Canonical form details:
     (a lone M must carry the ambient form itself; pairs always pair up
     hyperbolically);
   * all trivial summands merge into one Trivial(r).
+
+Queries are bounded before any search: the atom pool size follows from
+(p, max_twist, dim) and the number of remaining-block states from the
+partition, and their product must stay within MAX_SEARCH.  A listing
+builds at most MAX_LISTED classes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import combinations
+from math import comb, prod
+from typing import Callable, NamedTuple
 
 from .errors import InvalidQueryError, NotCompletelyReducibleError
 from .ffmatrix import is_prime
@@ -41,6 +71,15 @@ from .sl2modules import (
     format_descriptor,
 )
 
+# Bound on (atom pool size) x (sub-multisets of the target partition),
+# which bounds the memo of one query.  It also keeps the recursion
+# shallow: the recursion nests once per chosen atom, at most
+# min(atoms, blocks) <= sqrt(MAX_SEARCH) deep.
+MAX_SEARCH = 100_000
+
+# Bound on the classes one listing builds (about 1 kB each).
+MAX_LISTED = 50_000
+
 
 @dataclass(frozen=True)
 class EmbeddingClass:
@@ -48,7 +87,6 @@ class EmbeddingClass:
     its canonical module descriptor."""
 
     descriptor: ModuleDescriptor
-    canonical: bool = True
 
     @property
     def max_twist(self) -> int:
@@ -80,10 +118,35 @@ class EmbeddingClass:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    classes: tuple[EmbeddingClass, ...]
     count: int
     max_twist: int
     growth_flag: bool
+    _listing: Callable[[], tuple[EmbeddingClass, ...]] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def classes(self) -> tuple[EmbeddingClass, ...]:
+        """The classes in EmbeddingClass.sort_key order, built on first
+        read; more than MAX_LISTED of them raise InvalidQueryError."""
+        if self.count > MAX_LISTED:
+            raise InvalidQueryError(
+                f"{self.count} classes exceed the listing budget {MAX_LISTED}"
+            )
+        return self._listing()
+
+
+def _embedding_class(multiplicities, trivial: int, p: int) -> EmbeddingClass:
+    """The class with these (irreducible, multiplicity) pairs, already
+    shifted to least twist 0, plus `trivial` trivial summands."""
+    summands: list = []
+    for module, mult in multiplicities:
+        summands.extend([Doubled(module)] * (mult // 2))
+        if mult % 2:
+            summands.append(Irr(module))
+    if trivial:
+        summands.append(Trivial(trivial))
+    return EmbeddingClass(ModuleDescriptor(tuple(summands), p))
 
 
 def canonicalize(d: ModuleDescriptor) -> EmbeddingClass:
@@ -108,41 +171,62 @@ def canonicalize(d: ModuleDescriptor) -> EmbeddingClass:
             multiplicities = Counter(
                 {m.shifted(-shift): k for m, k in multiplicities.items()}
             )
-    summands: list = []
-    for module, mult in multiplicities.items():
-        summands.extend([Doubled(module)] * (mult // 2))
-        if mult % 2:
-            summands.append(Irr(module))
-    if trivial:
-        summands.append(Trivial(trivial))
-    return EmbeddingClass(ModuleDescriptor(tuple(summands), d.p))
+    return _embedding_class(multiplicities.items(), trivial, d.p)
 
 
 @lru_cache(maxsize=None)
 def _atom_pool(p: int, max_twist: int, max_dim: int):
     """All twisted tensor-product irreducibles of dimension <= max_dim
-    with twists drawn from 0..max_twist, with their Jordan types."""
-    pool = []
-    max_factors = min(max_twist + 1, max_dim.bit_length())
+    with twists drawn from 0..max_twist, grouped by Jordan type: pairs
+    ((block size, count) pairs, atoms of that type).
 
-    def grow(factors, remaining_dim):
-        start = factors[-1].twist + 1 if factors else 0
-        for twist in range(start, max_twist + 1):
-            for weight in range(1, p):
-                if (weight + 1) > remaining_dim:
-                    break
-                extended = factors + [IrreducibleFactor(weight, twist)]
-                pool.append(IrreducibleDescriptor(tuple(extended)))
-                if len(extended) < max_factors:
-                    grow(extended, remaining_dim // (weight + 1))
+    Twists never change the Jordan type, so it is computed once per
+    weight tuple, and each tuple of k weights is placed on every choice
+    of k increasing twists.
+    """
+    groups: dict = {}
 
-    grow([], max_dim)
-    out = []
-    for desc in pool:
-        blocks = tensor_multi([f.weight + 1 for f in desc.factors], p).blocks
-        out.append((desc, blocks))
-    out.sort(key=lambda item: (item[0].sort_key(), item[1]))
-    return tuple(out)
+    def grow(weights, room):
+        for weight in range(1, min(p, room)):
+            extended = weights + (weight,)
+            blocks = tensor_multi([w + 1 for w in extended], p).blocks
+            atoms = groups.setdefault(tuple(Counter(blocks).items()), [])
+            for twists in combinations(range(max_twist + 1), len(extended)):
+                atoms.append(
+                    IrreducibleDescriptor(tuple(map(IrreducibleFactor, extended, twists)))
+                )
+            if len(extended) <= max_twist:
+                grow(extended, room // (weight + 1))
+
+    grow((), max_dim)
+    return tuple((blocks, tuple(atoms)) for blocks, atoms in groups.items())
+
+
+@lru_cache(maxsize=None)
+def _pool_size(p: int, max_twist: int, max_dim: int, cap: int) -> int:
+    """The number of atoms in _atom_pool(p, max_twist, max_dim), found
+    without building the pool, or a partial sum above cap.
+
+    An atom with k factors is a choice of k distinct twists in
+    0..max_twist, carrying in order k weights in 1..p-1 whose dimensions
+    w + 1 multiply to at most max_dim.  So the size is the sum over k of
+    C(max_twist + 1, k) times the number of such weight k-tuples.
+    Counting the k-tuples costs about as many steps as there are
+    (k-1)-tuples, which the partial sum before them bounds, so stopping
+    above cap keeps this cheap for any input.
+    """
+
+    def tuples(k: int, room: int) -> int:
+        if k == 1:
+            return max(0, min(p, room) - 1)
+        return sum(tuples(k - 1, room // d) for d in range(2, min(p, room) + 1))
+
+    total = 0
+    k = 1
+    while k <= max_twist + 1 and 2**k <= max_dim and total <= cap:
+        total += comb(max_twist + 1, k) * tuples(k, max_dim)
+        k += 1
+    return total
 
 
 def jordan_menu(
@@ -184,26 +268,125 @@ def jordan_menu(
     return out
 
 
-def _admissible(
-    multiplicities: Counter, trivial: int, form: FormType, distinct_irr: bool
-) -> bool:
-    if distinct_irr:
-        # pairwise inequivalent non-degenerate irreducible summands: each
-        # must carry the ambient form itself, at most one trivial line
-        if trivial > 1:
-            return False
-        return all(
-            m == 1 and (form is FormType.NONE or module.form_type() is form)
-            for module, m in multiplicities.items()
-        )
-    if form is FormType.NONE:
-        return True
-    for module, m in multiplicities.items():
-        if m % 2 == 1 and module.form_type() is not form:
-            return False
-    if form is FormType.SYMPLECTIC and trivial % 2 == 1:
-        return False
-    return True
+class _Atom(NamedTuple):
+    desc: IrreducibleDescriptor
+    need: tuple[int, ...]  # blocks used, counted per target block size
+    used: tuple[tuple[int, int], ...]  # (size index, count) where need > 0
+    lone_ok: bool  # an odd multiplicity is admissible
+    flags: int  # bit 0: has a factor of twist 0; bit 1: of twist max_twist
+
+
+class _Search:
+    """The counting recursion of one query and its memo.
+
+    count(i, rem, flags) is the pair (completions with the twist-0 flag,
+    those with both flags) over multiplicities of atoms i, i+1, ... that
+    use up the nontrivial blocks in rem, with flags set so far.
+    """
+
+    def __init__(self, atoms, sizes, target, form, distinct_irr, p):
+        self.atoms = atoms
+        self.target = target
+        self.form = form
+        self.distinct_irr = distinct_irr
+        self.p = p
+        self.one = sizes.index(1) if 1 in sizes else None
+        # the last atom using each block size: past it, that size is stuck
+        self.last = [
+            max((i for i, a in enumerate(atoms) if a.need[j]), default=-1)
+            for j in range(len(sizes))
+        ]
+        self.memo: dict = {}
+
+    def ones(self, rem) -> int:
+        return rem[self.one] if self.one is not None else 0
+
+    def trivial_ok(self, ones: int) -> bool:
+        if self.distinct_irr:
+            return ones <= 1
+        return self.form is not FormType.SYMPLECTIC or ones % 2 == 0
+
+    def stop(self, rem) -> int | None:
+        """First atom index from which rem can no longer be used up, or
+        None when only 1-blocks remain."""
+        stuck = [
+            self.last[j] + 1 for j, r in enumerate(rem) if r and j != self.one
+        ]
+        return min(stuck) if stuck else None
+
+    def branches(self, i, rem, flags):
+        """(k, remaining, flags) for each admissible multiplicity k >= 1
+        of atom i."""
+        atom = self.atoms[i]
+        k_max = min(rem[j] // n for j, n in atom.used)
+        if self.distinct_irr:
+            k_max = min(k_max, 1)
+        step = 1 if atom.lone_ok else 2
+        flags |= atom.flags
+        for k in range(step, k_max + 1, step):
+            yield k, tuple(r - k * n for r, n in zip(rem, atom.need)), flags
+
+    def count(self, i, rem, flags) -> tuple[int, int]:
+        memo = self.memo
+        hit = memo.get((i, rem, flags))
+        if hit is not None:
+            return hit
+        stop = self.stop(rem)
+        if stop is None:
+            ok = flags & 1 and self.trivial_ok(self.ones(rem))
+            memo[(i, rem, flags)] = value = (1, int(flags == 3)) if ok else (0, 0)
+            return value
+        # follow k = 0 forward to a known or stuck state, then fill the
+        # chain in backwards: the recursion nests only for k >= 1
+        j = i
+        while j < stop and (j, rem, flags) not in memo:
+            j += 1
+        value = memo.get((j, rem, flags), (0, 0))
+        for j in range(j - 1, i - 1, -1):
+            n0, both = value
+            for _, r, f in self.branches(j, rem, flags):
+                a, b = self.count(j + 1, r, f)
+                n0 += a
+                both += b
+            value = memo[(j, rem, flags)] = (n0, both)
+        return value
+
+    def all_trivial_ok(self) -> bool:
+        """The structure made of trivial summands only is admissible."""
+        ones = self.ones(self.target)
+        return self.stop(self.target) is None and ones > 0 and self.trivial_ok(ones)
+
+    def classes(self) -> tuple[EmbeddingClass, ...]:
+        memo = self.memo
+        out = []
+        chosen: list = []
+
+        def walk(i, rem, flags):
+            # some completion of (i, rem, flags) has the twist-0 flag
+            stop = self.stop(rem)
+            if stop is None:
+                out.append(_embedding_class(chosen, self.ones(rem), self.p))
+                return
+            here = self.count(i, rem, flags)[0]
+            for j in range(i, stop):
+                # the memo holds every (j, rem, flags) below stop; atom j
+                # is used iff skipping it loses completions
+                rest = memo.get((j + 1, rem, flags), (0, 0))[0]
+                if rest != here:
+                    for k, r, f in self.branches(j, rem, flags):
+                        if self.count(j + 1, r, f)[0]:
+                            chosen.append((self.atoms[j].desc, k))
+                            walk(j + 1, r, f)
+                            chosen.pop()
+                if not rest:
+                    return
+                here = rest
+
+        if self.count(0, self.target, 0)[0]:
+            walk(0, self.target, 0)
+        if self.all_trivial_ok():
+            out.append(_embedding_class((), self.ones(self.target), self.p))
+        return tuple(sorted(out, key=EmbeddingClass.sort_key))
 
 
 def enumerate_embeddings(
@@ -225,6 +408,10 @@ def enumerate_embeddings(
     inequivalent irreducible summands carrying the ambient form, no
     hyperbolic doubling and at most one trivial line (the decomposition
     hypothesis for irreducible orthogonal sums).
+
+    The count is exact on return; the classes are built when
+    result.classes is first read.  Queries whose search could exceed
+    MAX_SEARCH raise InvalidQueryError before anything is built.
     """
     blocks = tuple(partition.parts) if hasattr(partition, "parts") else tuple(partition)
     if not is_prime(p):
@@ -241,59 +428,37 @@ def enumerate_embeddings(
         raise InvalidQueryError("max_twist must be >= 1")
 
     target = Counter(blocks)
-    atoms = [
-        (desc, Counter(bl), sum(bl))
-        for desc, bl in _atom_pool(p, max_twist, dim)
-        if not (Counter(bl) - target)
-    ]
-    found: dict = {}
+    states = prod(m + 1 for m in target.values())
+    pool = _pool_size(p, max_twist, dim, MAX_SEARCH // states)
+    if pool * states > MAX_SEARCH:
+        raise InvalidQueryError(
+            f"search too large: {pool} or more atoms times {states} block "
+            f"states exceeds the budget {MAX_SEARCH}"
+        )
 
-    def emit(chosen: list[IrreducibleDescriptor], ones: int):
-        mult = Counter(chosen)
-        if mult:
-            shift = min(m.min_twist for m in mult)
-            if shift:
-                mult = Counter({m.shifted(-shift): k for m, k in mult.items()})
-        if not _admissible(mult, ones, form, distinct_irr):
-            return
-        summands: list = []
-        for module, m in sorted(mult.items(), key=lambda kv: kv[0].sort_key()):
-            if distinct_irr:
-                summands.extend([Irr(module)] * m)
-            else:
-                summands.extend([Doubled(module)] * (m // 2))
-                if m % 2:
-                    summands.append(Irr(module))
-        if ones:
-            summands.append(Trivial(ones))
-        if not summands:
-            return
-        cls = EmbeddingClass(ModuleDescriptor(tuple(summands), p))
-        found[cls.descriptor] = cls
-
-    def dfs(start: int, remaining: Counter, rem_dim: int, chosen: list):
-        nontrivial_left = any(size != 1 and count for size, count in remaining.items())
-        if not nontrivial_left:
-            emit(chosen, remaining[1])
-        for idx in range(start, len(atoms)):
-            desc, bl, d = atoms[idx]
-            if d > rem_dim:
-                continue
-            if bl - remaining:
-                continue
-            chosen.append(desc)
-            dfs(
-                idx + 1 if distinct_irr else idx,
-                remaining - bl,
-                rem_dim - d,
-                chosen,
-            )
-            chosen.pop()
-
-    dfs(0, target, dim, [])
-    classes = tuple(sorted(found.values(), key=lambda c: c.sort_key()))
-    growth = any(c.max_twist == max_twist for c in classes)
-    return EnumerationResult(classes, len(classes), max_twist, growth)
+    sizes = sorted(target, reverse=True)
+    where = {size: j for j, size in enumerate(sizes)}
+    atoms = []
+    for jordan, descs in _atom_pool(p, max_twist, dim):
+        if any(target[size] < n for size, n in jordan):
+            continue
+        need = [0] * len(sizes)
+        for size, n in jordan:
+            need[where[size]] = n
+        need = tuple(need)
+        used = tuple((j, n) for j, n in enumerate(need) if n)
+        # the form depends on the weights only, so on the group
+        lone_ok = form is FormType.NONE or descs[0].form_type() is form
+        for desc in descs:
+            flags = (desc.min_twist == 0) | (desc.max_twist == max_twist) << 1
+            atoms.append(_Atom(desc, need, used, lone_ok, flags))
+    search = _Search(
+        atoms, sizes, tuple(target[size] for size in sizes), form, distinct_irr, p
+    )
+    count, both = search.count(0, search.target, 0)
+    if search.all_trivial_ok():
+        count += 1
+    return EnumerationResult(count, max_twist, both > 0, search.classes)
 
 
 def dn_partition_list(n: int, p: int, max_twist: int = 3) -> set[tuple[int, ...]]:
@@ -301,15 +466,13 @@ def dn_partition_list(n: int, p: int, max_twist: int = 3) -> set[tuple[int, ...]
     orthogonal irreducibles (plus at most one trivial line): the Jordan
     types available to suitably decomposed A1-subgroups of SO(2n)."""
     out = set()
-    partitions = partitions_bounded(2 * n, p)
-    for blocks in partitions:
+    for blocks in partitions_bounded(2 * n, p):
         result = enumerate_embeddings(
             FormType.ORTHOGONAL, 2 * n, blocks, p, max_twist, distinct_irr=True
         )
-        if any(
-            not all(isinstance(s, Trivial) for s in c.descriptor.summands)
-            for c in result.classes
-        ):
+        # at most one trivial line is allowed, so for 2n >= 2 every
+        # counted class has a nontrivial summand
+        if result.count:
             out.add(blocks)
     return out
 

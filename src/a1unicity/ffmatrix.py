@@ -12,7 +12,7 @@ of n terms below (p-1)^2, so it runs in float64 BLAS while
 n*(p-1)^2 < 2^53 (every partial sum is then an integer that float64
 holds exactly) and in int64 while n*(p-1)^2 < 2^63.  rank and
 jordan_block_sizes raise ShapeError beyond the int64 bound instead of
-overflowing.
+overflowing; so do kronecker and sym_power, which need (p-1)^2 < 2^63.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, symmetric powers of the standard unipotent)
@@ -105,7 +105,12 @@ def unipotent_jordan_block(field: PrimeField, m: int) -> np.ndarray:
 
 
 def kronecker(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
-    """Kronecker product reduced mod p."""
+    """Kronecker product reduced mod p.
+
+    Each entry is one product of reduced entries, so p needs
+    (p-1)^2 < 2^63; larger p raise ShapeError.
+    """
+    _check_int64_exact(1, field.p)
     a = field.reduce(a)
     b = field.reduce(b)
     if a.shape[0] * b.shape[0] > MAX_DIMENSION:
@@ -207,7 +212,12 @@ def sym_power(a: np.ndarray, c: int, field: PrimeField) -> np.ndarray:
     irreducible module of highest weight c when c <= p-1, and for
     p <= c <= 2p-2 its Jordan type matches the Weyl module of highest
     weight c (blocks of sizes p and c-p+1).
+
+    Each step adds one product of reduced entries to a reduced entry,
+    which stays below 2^63 whenever (p-1)^2 < 2^63; larger p raise
+    ShapeError.
     """
+    _check_int64_exact(1, field.p)
     a = field.reduce(a)
     if a.shape != (2, 2):
         raise ShapeError(f"sym_power expects a 2x2 matrix, got {a.shape}")

@@ -10,14 +10,23 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from . import atlas
-from .classical import Partition, SL, SO, Sp, VerdictKind, unicity_verdict, witnesses
+from .classical import (
+    Partition,
+    SL,
+    SO,
+    Sp,
+    VerdictKind,
+    unicity_verdict,
+    validate,
+    witnesses,
+)
 from .enumerator import (
     partitions_bounded,
     dn_partition_list,
     enumerate_embeddings,
     jordan_menu,
 )
-from .errors import NoWitnessRuleError
+from .errors import NoWitnessRuleError, ValidationError
 from .ffmatrix import PrimeField, sym_power, unipotent_jordan_block
 from .jordan import (
     jordan_type_of_unipotent,
@@ -196,10 +205,8 @@ def _validish_partitions(group, p):
             continue
         part = Partition(blocks)
         try:
-            from .classical import validate
-
             validate(group, part, p)
-        except Exception:
+        except ValidationError:
             continue
         out.append(part)
     return out
@@ -211,7 +218,7 @@ def check_classifier_vs_enumeration(quick: bool = False):
     if quick:
         ranges = {"SL": range(2, 7), "Sp": range(4, 9, 2), "SO": range(7, 10)}
     else:
-        ranges = {"SL": range(2, 9), "Sp": range(4, 13, 2), "SO": range(7, 13)}
+        ranges = {"SL": range(2, 13), "Sp": range(4, 17, 2), "SO": range(7, 16)}
     cases = 0
     for p in (5, 7):
         for family, dims, form in (

@@ -299,14 +299,13 @@ def form_type(d: ModuleDescriptor) -> FormType:
     return FormType.NONE
 
 
-def realize(d: ModuleDescriptor) -> np.ndarray:
-    """Explicit order-p unipotent matrix acting on d over GF(p).
+def check_realizable(d: ModuleDescriptor) -> None:
+    """Raise what realize(d) would raise, from the structure alone.
 
-    Each irreducible factor is realized as a symmetric power of the
-    standard unipotent and factors are combined by Kronecker products;
-    summands are stacked block-diagonally.  Tilting summands carry no
-    matrix model here and raise NotRealizableError; modules above
-    ffmatrix.MAX_DIMENSION raise ShapeError before anything is allocated.
+    Modules above ffmatrix.MAX_DIMENSION raise ShapeError; Tilting
+    summands carry no matrix model here and raise NotRealizableError;
+    any summand built from symmetric powers needs (p-1)^2 < 2^63 for
+    exact int64 products and raises ShapeError otherwise.
     """
     dim = dimension(d)
     if dim > ffmatrix.MAX_DIMENSION:
@@ -314,6 +313,25 @@ def realize(d: ModuleDescriptor) -> np.ndarray:
             f"module dimension {dim} exceeds the configured bound "
             f"{ffmatrix.MAX_DIMENSION}"
         )
+    for s in d.summands:
+        if isinstance(s, Tilting):
+            raise NotRealizableError(
+                f"T({s.weight}) carries only its Jordan type (p, p); "
+                "no matrix model is built"
+            )
+    if not all(isinstance(s, Trivial) for s in d.summands):
+        ffmatrix._check_int64_exact(1, d.p)
+
+
+def realize(d: ModuleDescriptor) -> np.ndarray:
+    """Explicit order-p unipotent matrix acting on d over GF(p).
+
+    Each irreducible factor is realized as a symmetric power of the
+    standard unipotent and factors are combined by Kronecker products;
+    summands are stacked block-diagonally.  Inputs that check_realizable
+    rejects raise its error before anything is allocated.
+    """
+    check_realizable(d)
     field = PrimeField(d.p)
     u = ffmatrix.unipotent_jordan_block(field, 2)
 
@@ -332,11 +350,6 @@ def realize(d: ModuleDescriptor) -> np.ndarray:
             blocks.extend((m, m))
         elif isinstance(s, Weyl):
             blocks.append(ffmatrix.sym_power(u, s.weight, field))
-        elif isinstance(s, Tilting):
-            raise NotRealizableError(
-                f"T({s.weight}) carries only its Jordan type (p, p); "
-                "no matrix model is built"
-            )
         else:
             blocks.append(ffmatrix.identity(s.multiplicity))
     return ffmatrix.block_diagonal(blocks, field)

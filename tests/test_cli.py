@@ -1,7 +1,10 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
-
+from a1unicity import cli, sl2modules
 from a1unicity.cli import run
 from a1unicity.enumerator import canonicalize
 from a1unicity.sl2modules import parse_descriptor
@@ -83,6 +86,70 @@ def test_module_command_too_large_to_realize(capsys):
     assert payload["result"]["dimension"] == 100000
     assert payload["result"]["realizable"] is False
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_module_command_decides_realizable_without_building(monkeypatch):
+    cases = [
+        ["module", "-p", "7", "L(2)*L(2)@1+2*triv"],
+        ["module", "-p", "7", "T(10)"],
+        ["module", "-p", "5", "2048*triv"],
+        ["module", "-p", "5", "100000*triv"],
+        ["module", "-p", "4294967311", "L(1)+triv"],
+        ["module", "-p", "4294967311", "4*triv"],
+    ]
+    before = [capture(argv + ["--json"]) for argv in cases]
+    assert [json.loads(text)["result"]["realizable"] for _, text in before] == [
+        True, False, True, False, False, True,
+    ]
+
+    def no_matrix(d):
+        raise AssertionError("a1u module must not build the matrix")
+
+    monkeypatch.setattr(sl2modules, "realize", no_matrix)
+    monkeypatch.setattr(cli, "realize", no_matrix, raising=False)
+    assert [capture(argv + ["--json"]) for argv in cases] == before
+
+
+def _run_cli_process(argv):
+    return subprocess.run(
+        [sys.executable, "-c", "from a1unicity.cli import main; main()", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_enumerate_search_budget_exits_one():
+    proc = _run_cli_process(
+        ["enumerate", "--form", "none", "--p", "7", "--partition", "7,7,7",
+         "--max-twist", "1000000", "--json"]
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "InvalidQueryError" in proc.stderr
+
+
+def test_enumerate_listing_budget_exits_one():
+    # 140955 classes are counted at once but are too many to list
+    proc = _run_cli_process(
+        ["enumerate", "--form", "none", "--p", "3", "--partition",
+         "3,3,3,3,3,3", "--max-twist", "8", "--json"]
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "140955 classes" in proc.stderr
+
+
+_GOLDEN = Path(__file__).parent / "data" / "enumerate_golden.jsonl"
+
+
+def test_enumerate_json_matches_golden_output():
+    """a1u enumerate --json output, byte for byte, as the brute-force
+    search that built and deduplicated every twist shift printed it."""
+    cases = [json.loads(line) for line in _GOLDEN.read_text().splitlines()]
+    assert len(cases) == 10
+    for case in cases:
+        assert capture(case["argv"]) == (0, case["stdout"]), case["argv"]
 
 
 def test_witnesses_command():

@@ -1,12 +1,20 @@
 import pytest
 
+from a1unicity.classical import SL, SO, Partition, Sp, validate
 from a1unicity.enumerator import (
+    _atom_pool,
+    _pool_size,
     canonicalize,
     dn_partition_list,
     enumerate_embeddings,
     jordan_menu,
+    partitions_bounded,
 )
-from a1unicity.errors import InvalidQueryError, NotCompletelyReducibleError
+from a1unicity.errors import (
+    InvalidQueryError,
+    NotCompletelyReducibleError,
+    ValidationError,
+)
 from a1unicity.ffmatrix import PrimeField
 from a1unicity.jordan import jordan_type_of_unipotent
 from a1unicity.sl2modules import (
@@ -193,3 +201,59 @@ def test_invalid_queries_raise():
         enumerate_embeddings(FormType.NONE, 4, (4,), 5, 0)  # bad bound
     with pytest.raises(InvalidQueryError):
         enumerate_embeddings(FormType.SYMPLECTIC, 4, (2, 2), 2, 3)  # p = 2 form
+
+
+def _valid_queries():
+    """Every valid partition with blocks <= p at SL <= 8, Sp <= 10,
+    SO <= 10, p in (5, 7)."""
+    for make, dims, form in (
+        (SL, range(2, 9), FormType.NONE),
+        (Sp, range(4, 11, 2), FormType.SYMPLECTIC),
+        (SO, range(7, 11), FormType.ORTHOGONAL),
+    ):
+        for dim in dims:
+            for p in (5, 7):
+                for blocks in partitions_bounded(dim, p):
+                    try:
+                        validate(make(dim), Partition(blocks), p)
+                    except ValidationError:
+                        continue
+                    yield form, dim, blocks, p
+
+
+def test_listing_agrees_with_count_and_growth():
+    """The lazily built listing has count classes, pairwise distinct and
+    canonical, and the growth flag says whether one reaches the twist
+    bound."""
+    queries = 0
+    for form, dim, blocks, p in _valid_queries():
+        for max_twist in (1, 2, 3, 4):
+            for distinct_irr in (False, True):
+                res = enumerate_embeddings(form, dim, blocks, p, max_twist, distinct_irr)
+                classes = res.classes
+                assert res.count == len(classes)
+                assert res.growth_flag == any(
+                    c.max_twist == max_twist for c in classes
+                )
+                assert len({c.descriptor for c in classes}) == len(classes)
+                for c in classes:
+                    assert canonicalize(c.descriptor) == c
+                    assert jordan_type(c.descriptor).blocks == blocks
+                queries += 1
+    assert queries > 1000
+
+
+def test_pool_size_counts_the_pool():
+    for p in (2, 3, 5, 7):
+        for max_twist in range(1, 5):
+            for max_dim in range(0, 25):
+                built = sum(len(atoms) for _, atoms in _atom_pool(p, max_twist, max_dim))
+                assert _pool_size(p, max_twist, max_dim, 10**9) == built
+    # above the cap, counting stops after the first partial sum past it
+    assert 10 < _pool_size(7, 10**6, 21, 10) < 10**8
+
+
+def test_largest_benchmark_input_fits_the_search_budget():
+    # dim 16 at p = 7 with twists <= 4; the CLI tests cover the refusals
+    res = enumerate_embeddings(FormType.SYMPLECTIC, 16, (3, 3, 2, 2, 1, 1, 1, 1, 1, 1), 7, 4)
+    assert res.count == len(res.classes)

@@ -206,3 +206,17 @@ def test_large_primes_below_int64_bound():
     assert rank(_rank_one(p), PrimeField(p)) == 1
     p = 1000000007  # 3 * (p - 1)^2 < 2^63
     assert jordan_block_sizes(_square_zero_unipotent(p), PrimeField(p)) == (2, 1)
+
+
+def test_kronecker_and_sym_power_reject_int64_overflow():
+    field = PrimeField(4294967311)  # (p - 1)^2 > 2^63
+    with pytest.raises(ShapeError):
+        kronecker([[field.p - 1]], [[field.p - 1]], field)
+    with pytest.raises(ShapeError):
+        sym_power(np.array([[field.p - 1, 1], [2, field.p - 1]]), 2, field)
+    field = PrimeField(2147483647)  # (p - 1)^2 < 2^63: exact
+    assert kronecker([[field.p - 1]], [[field.p - 1]], field).tolist() == [[1]]
+    (a00, a01), (a10, a11) = a = [[field.p - 1, 1], [2, field.p - 1]]
+    # x^2 -> (a00 x + a10 y)^2, in the basis x^2, xy, y^2
+    want = [a00 * a00 % field.p, 2 * a00 * a10 % field.p, a10 * a10 % field.p]
+    assert sym_power(np.array(a), 2, field)[:, 0].tolist() == want

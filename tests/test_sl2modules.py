@@ -19,6 +19,7 @@ from a1unicity.sl2modules import (
     Trivial,
     Weyl,
     admits_form,
+    check_realizable,
     dimension,
     form_type,
     format_descriptor,
@@ -209,3 +210,34 @@ def test_realized_matrix_always_matches_declared_type(p):
         declared = jordan_type(d)
         assert declared.dimension == dimension(d)
         assert jordan_type_of_unipotent(realize(d), field) == declared
+
+
+def _outcome(fn, d):
+    try:
+        fn(d)
+    except (NotRealizableError, ShapeError) as err:
+        return type(err), str(err)
+    return None
+
+
+def test_check_realizable_agrees_with_realize():
+    big = 4294967311  # (p - 1)^2 > 2^63
+    descriptors = _all_descriptors(5, 8) + [
+        parse_descriptor(text, p)
+        for text, p in [
+            ("T(10)", 7),
+            ("L(2)+T(5)+triv", 5),
+            (f"{MAX_DIMENSION + 1}*triv", 5),
+            (f"L(4)+{MAX_DIMENSION}*triv", 5),
+            ("4*triv", big),
+            ("L(1)+triv", big),
+            ("2*L(1)*L(1)@1", big),
+            (f"W({big})", big),
+        ]
+    ]
+    outcomes = set()
+    for d in descriptors:
+        want = _outcome(check_realizable, d)
+        assert _outcome(realize, d) == want, format_descriptor(d)
+        outcomes.add(want and want[0])
+    assert outcomes == {None, NotRealizableError, ShapeError}
