@@ -174,59 +174,61 @@ def canonicalize(d: ModuleDescriptor) -> EmbeddingClass:
     return _embedding_class(multiplicities.items(), trivial, d.p)
 
 
-@lru_cache(maxsize=None)
-def _atom_pool(p: int, max_twist: int, max_dim: int):
-    """All twisted tensor-product irreducibles of dimension <= max_dim
-    with twists drawn from 0..max_twist, grouped by Jordan type: pairs
-    ((block size, count) pairs, atoms of that type).
-
-    Twists never change the Jordan type, so it is computed once per
-    weight tuple, and each tuple of k weights is placed on every choice
-    of k increasing twists.
-    """
-    groups: dict = {}
+def _weight_tuples(p: int, max_twist: int, max_dim: int):
+    """The weight tuples of the atoms, depth first: at most max_twist + 1
+    weights in 1..p-1 whose dimensions w + 1 multiply to at most
+    max_dim.  Each tuple of k weights is an atom for every choice of k
+    increasing twists in 0..max_twist."""
 
     def grow(weights, room):
         for weight in range(1, min(p, room)):
             extended = weights + (weight,)
-            blocks = tensor_multi([w + 1 for w in extended], p).blocks
-            atoms = groups.setdefault(tuple(Counter(blocks).items()), [])
-            for twists in combinations(range(max_twist + 1), len(extended)):
-                atoms.append(
-                    IrreducibleDescriptor(tuple(map(IrreducibleFactor, extended, twists)))
-                )
+            yield extended
             if len(extended) <= max_twist:
-                grow(extended, room // (weight + 1))
+                yield from grow(extended, room // (weight + 1))
 
-    grow((), max_dim)
-    return tuple((blocks, tuple(atoms)) for blocks, atoms in groups.items())
+    return grow((), max_dim)
 
 
 @lru_cache(maxsize=None)
-def _pool_size(p: int, max_twist: int, max_dim: int, cap: int) -> int:
-    """The number of atoms in _atom_pool(p, max_twist, max_dim), found
-    without building the pool, or a partial sum above cap.
+def _pool_size(p: int, max_twist: int, max_dim: int) -> int:
+    """The number of atoms in _atom_pool(p, max_twist, max_dim), counted
+    without building them; the count stops once it passes MAX_SEARCH.
 
-    An atom with k factors is a choice of k distinct twists in
-    0..max_twist, carrying in order k weights in 1..p-1 whose dimensions
-    w + 1 multiply to at most max_dim.  So the size is the sum over k of
-    C(max_twist + 1, k) times the number of such weight k-tuples.
-    Counting the k-tuples costs about as many steps as there are
-    (k-1)-tuples, which the partial sum before them bounds, so stopping
-    above cap keeps this cheap for any input.
+    Every weight tuple adds at least one atom, so this takes at most
+    MAX_SEARCH steps for any input.
     """
-
-    def tuples(k: int, room: int) -> int:
-        if k == 1:
-            return max(0, min(p, room) - 1)
-        return sum(tuples(k - 1, room // d) for d in range(2, min(p, room) + 1))
-
     total = 0
-    k = 1
-    while k <= max_twist + 1 and 2**k <= max_dim and total <= cap:
-        total += comb(max_twist + 1, k) * tuples(k, max_dim)
-        k += 1
+    for weights in _weight_tuples(p, max_twist, max_dim):
+        total += comb(max_twist + 1, len(weights))
+        if total > MAX_SEARCH:
+            break
     return total
+
+
+@lru_cache(maxsize=None)
+def _atom_pool(p: int, max_twist: int, max_dim: int):
+    """All twisted tensor-product irreducibles of dimension <= max_dim
+    with twists drawn from 0..max_twist, grouped by Jordan type and form:
+    triples ((block size, count) pairs, form type, atoms).
+
+    Twists change neither the Jordan type nor the form, so both are
+    computed once per weight tuple.  Weight tuples of one Jordan type can
+    differ in form (J_p tensor J_a is a copies of J_p), so the form is
+    part of the group key.
+    """
+    groups: dict = {}
+    for weights in _weight_tuples(p, max_twist, max_dim):
+        blocks = tensor_multi([w + 1 for w in weights], p).blocks
+        atoms = [
+            IrreducibleDescriptor(tuple(map(IrreducibleFactor, weights, twists)))
+            for twists in combinations(range(max_twist + 1), len(weights))
+        ]
+        key = (tuple(Counter(blocks).items()), atoms[0].form_type())
+        groups.setdefault(key, []).extend(atoms)
+    return tuple(
+        (blocks, form, tuple(atoms)) for (blocks, form), atoms in groups.items()
+    )
 
 
 def jordan_menu(
@@ -429,7 +431,7 @@ def enumerate_embeddings(
 
     target = Counter(blocks)
     states = prod(m + 1 for m in target.values())
-    pool = _pool_size(p, max_twist, dim, MAX_SEARCH // states)
+    pool = _pool_size(p, max_twist, dim)
     if pool * states > MAX_SEARCH:
         raise InvalidQueryError(
             f"search too large: {pool} or more atoms times {states} block "
@@ -439,7 +441,7 @@ def enumerate_embeddings(
     sizes = sorted(target, reverse=True)
     where = {size: j for j, size in enumerate(sizes)}
     atoms = []
-    for jordan, descs in _atom_pool(p, max_twist, dim):
+    for jordan, atom_form, descs in _atom_pool(p, max_twist, dim):
         if any(target[size] < n for size, n in jordan):
             continue
         need = [0] * len(sizes)
@@ -447,8 +449,7 @@ def enumerate_embeddings(
             need[where[size]] = n
         need = tuple(need)
         used = tuple((j, n) for j, n in enumerate(need) if n)
-        # the form depends on the weights only, so on the group
-        lone_ok = form is FormType.NONE or descs[0].form_type() is form
+        lone_ok = form is FormType.NONE or atom_form is form
         for desc in descs:
             flags = (desc.min_twist == 0) | (desc.max_twist == max_twist) << 1
             atoms.append(_Atom(desc, need, used, lone_ok, flags))

@@ -2,6 +2,7 @@ import pytest
 
 from a1unicity.classical import SL, SO, Partition, Sp, validate
 from a1unicity.enumerator import (
+    MAX_SEARCH,
     _atom_pool,
     _pool_size,
     canonicalize,
@@ -19,6 +20,7 @@ from a1unicity.ffmatrix import PrimeField
 from a1unicity.jordan import jordan_type_of_unipotent
 from a1unicity.sl2modules import (
     FormType,
+    admits_form,
     Trivial,
     Weyl,
     ModuleDescriptor,
@@ -239,6 +241,8 @@ def test_listing_agrees_with_count_and_growth():
                 for c in classes:
                     assert canonicalize(c.descriptor) == c
                     assert jordan_type(c.descriptor).blocks == blocks
+                    if form is not FormType.NONE:
+                        assert admits_form(c.descriptor, form)
                 queries += 1
     assert queries > 1000
 
@@ -247,10 +251,25 @@ def test_pool_size_counts_the_pool():
     for p in (2, 3, 5, 7):
         for max_twist in range(1, 5):
             for max_dim in range(0, 25):
-                built = sum(len(atoms) for _, atoms in _atom_pool(p, max_twist, max_dim))
-                assert _pool_size(p, max_twist, max_dim, 10**9) == built
-    # above the cap, counting stops after the first partial sum past it
-    assert 10 < _pool_size(7, 10**6, 21, 10) < 10**8
+                built = sum(len(atoms) for _, _, atoms in _atom_pool(p, max_twist, max_dim))
+                assert _pool_size(p, max_twist, max_dim) == built
+    # past MAX_SEARCH, counting stops after the first partial sum above it
+    assert MAX_SEARCH < _pool_size(7, 10**6, 21) < 10**8
+
+
+def test_one_jordan_type_of_both_forms():
+    """At p = 5, L(3)*L(4) (symplectic) and L(1)*L(1)*L(4) (orthogonal)
+    both have Jordan type (5, 5, 5, 5); each lone summand is admitted
+    under its own form only."""
+    lone = {"L(3)*L(4)@1", "L(3)*L(4)@2", "L(4)*L(3)@1", "L(4)*L(3)@2"}
+    sp = enumerate_embeddings(FormType.SYMPLECTIC, 20, (5, 5, 5, 5), 5, 2)
+    assert (sp.count, sp.growth_flag) == (39, True)
+    assert lone <= _class_strings(sp)
+    so = enumerate_embeddings(FormType.ORTHOGONAL, 20, (5, 5, 5, 5), 5, 2)
+    assert (so.count, so.growth_flag) == (31, True)
+    assert not lone & _class_strings(so)
+    assert "L(1)*L(1)@1*L(4)@2" in _class_strings(so)
+    assert "L(1)*L(1)@1*L(4)@2" not in _class_strings(sp)
 
 
 def test_largest_benchmark_input_fits_the_search_budget():

@@ -212,32 +212,38 @@ def test_realized_matrix_always_matches_declared_type(p):
         assert jordan_type_of_unipotent(realize(d), field) == declared
 
 
-def _outcome(fn, d):
-    try:
-        fn(d)
-    except (NotRealizableError, ShapeError) as err:
-        return type(err), str(err)
-    return None
+_BIG_P = 4294967311  # (p - 1)^2 > 2^63
+
+# What realize raises, frozen: a Tilting summand, a dimension above
+# MAX_DIMENSION, and a non-trivial summand over a field too large for
+# exact int64 products.
+_REFUSALS = [
+    ("T(10)", 7, NotRealizableError,
+     "T(10) carries only its Jordan type (p, p); no matrix model is built"),
+    ("L(2)+T(5)+triv", 5, NotRealizableError,
+     "T(5) carries only its Jordan type (p, p); no matrix model is built"),
+    (f"{MAX_DIMENSION + 1}*triv", 5, ShapeError,
+     f"module dimension {MAX_DIMENSION + 1} exceeds the configured bound {MAX_DIMENSION}"),
+    (f"L(4)+{MAX_DIMENSION}*triv", 5, ShapeError,
+     f"module dimension {MAX_DIMENSION + 5} exceeds the configured bound {MAX_DIMENSION}"),
+    (f"W({_BIG_P})", _BIG_P, ShapeError,
+     f"module dimension {_BIG_P + 1} exceeds the configured bound {MAX_DIMENSION}"),
+    ("L(1)+triv", _BIG_P, ShapeError,
+     f"n = 1 over GF({_BIG_P}) needs n*(p-1)^2 < 2^63 for exact int64 arithmetic"),
+    ("2*L(1)*L(1)@1", _BIG_P, ShapeError,
+     f"n = 1 over GF({_BIG_P}) needs n*(p-1)^2 < 2^63 for exact int64 arithmetic"),
+]
 
 
 def test_check_realizable_agrees_with_realize():
-    big = 4294967311  # (p - 1)^2 > 2^63
-    descriptors = _all_descriptors(5, 8) + [
-        parse_descriptor(text, p)
-        for text, p in [
-            ("T(10)", 7),
-            ("L(2)+T(5)+triv", 5),
-            (f"{MAX_DIMENSION + 1}*triv", 5),
-            (f"L(4)+{MAX_DIMENSION}*triv", 5),
-            ("4*triv", big),
-            ("L(1)+triv", big),
-            ("2*L(1)*L(1)@1", big),
-            (f"W({big})", big),
-        ]
-    ]
-    outcomes = set()
-    for d in descriptors:
-        want = _outcome(check_realizable, d)
-        assert _outcome(realize, d) == want, format_descriptor(d)
-        outcomes.add(want and want[0])
-    assert outcomes == {None, NotRealizableError, ShapeError}
+    """realize and check_realizable both raise the frozen refusals, with
+    the same message, and both pass realizable descriptors."""
+    for text, p, error, message in _REFUSALS:
+        d = parse_descriptor(text, p)
+        for fn in (check_realizable, realize):
+            with pytest.raises(error) as info:
+                fn(d)
+            assert str(info.value) == message, (fn.__name__, text)
+    for d in _all_descriptors(5, 8) + [parse_descriptor("4*triv", _BIG_P)]:
+        check_realizable(d)
+        assert realize(d).shape == (dimension(d), dimension(d))
