@@ -14,6 +14,7 @@ import sys
 
 from a1unicity.classical import Partition, SL, SO, Sp, VerdictKind, unicity_verdict, validate
 from a1unicity.enumerator import partitions_bounded, enumerate_embeddings
+from a1unicity.errors import ValidationError
 from a1unicity.jordan import jnotation
 from a1unicity.sl2modules import FormType
 
@@ -41,7 +42,7 @@ def main() -> int:
                 part = Partition(blocks)
                 try:
                     validate(g, part, args.p)
-                except Exception:
+                except ValidationError:
                     continue
                 res = enumerate_embeddings(form, dim, part, args.p, args.max_twist)
                 stable_unique = res.count == 1 and not res.growth_flag

@@ -25,7 +25,7 @@ from .classical import (
     witnesses,
 )
 from .enumerator import enumerate_embeddings
-from .errors import DomainError
+from .errors import DomainError, InvalidQueryError
 from .jordan import jnotation, tensor_multi
 from .sl2modules import (
     FormType,
@@ -40,6 +40,11 @@ from .sl2modules import (
 
 class _UsageError(Exception):
     pass
+
+
+# a1u module prints one Jordan block per trivial line and per tensor block,
+# so the answer is refused above this dimension before any block is listed
+MAX_MODULE_DIMENSION = 10**6
 
 
 def _partition_arg(text: str) -> Partition:
@@ -119,6 +124,11 @@ def _cmd_tensor(args, out) -> int:
 
 def _cmd_module(args, out) -> int:
     d = parse_descriptor(args.descriptor, args.p)
+    dim = dimension(d)
+    if dim > MAX_MODULE_DIMENSION:
+        raise InvalidQueryError(
+            f"module dimension {dim} exceeds the answer budget {MAX_MODULE_DIMENSION}"
+        )
     t = jordan_type(d)
     try:
         check_realizable(d)
@@ -130,7 +140,7 @@ def _cmd_module(args, out) -> int:
         "input": {"p": args.p, "descriptor": args.descriptor},
         "result": {
             "canonical": format_descriptor(d),
-            "dimension": dimension(d),
+            "dimension": dim,
             "blocks": list(t.blocks),
             "jordan_type": jnotation(t.blocks),
             "form": form_type(d).value,
@@ -140,7 +150,7 @@ def _cmd_module(args, out) -> int:
     }
     human = [
         f"module    {format_descriptor(d)}   (p = {args.p})",
-        f"dimension {dimension(d)}",
+        f"dimension {dim}",
         f"type      {jnotation(t.blocks)}",
         f"form      {form_type(d).value}",
         f"matrix    {'available' if realizable else 'not realizable'}",

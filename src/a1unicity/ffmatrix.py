@@ -17,21 +17,32 @@ overflowing; so do kronecker and sym_power, which need (p-1)^2 < 2^63.
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, symmetric powers of the standard unipotent)
 have entries in GF(p), and the Frobenius endomorphism fixes them.
+
+numpy is imported by each function that builds or reduces a matrix, on
+its first call, not with the module: the closed-form queries (tensor,
+module, classify, witnesses, enumerate) build no matrix and never load
+it.  The module itself still loads with the package, because is_prime
+and PrimeField serve every query, selfcheck imports the matrix
+functions, and the benchmark tracer wraps them by module name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import (
+    DomainError,
     EmptyMatrixError,
     NotOrderPError,
     NotPrimeError,
     OrderExceedsPError,
     ShapeError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dense matrices only; desk-scale checks stay far below this.
 MAX_DIMENSION = 4096
@@ -41,18 +52,45 @@ _FLOAT64_EXACT = 2**53
 _INT64_EXACT = 2**63
 
 
+# Strong-probable-prime tests to the first 13 primes decide primality
+# exactly below _MILLER_RABIN_EXACT, the least strong pseudoprime to all
+# of them (Sorenson and Webster, Math. Comp. 86, 2017).  The first 12 do
+# not suffice: 318665857834031151167461 passes every base up to 37.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT = 3317044064679887385961981
+
+
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
+    """Exact primality for n < 3317044064679887385961981.
+
+    Trial division by the primes up to 41, then a deterministic
+    Miller-Rabin test to those bases.  Larger n with no factor up to 41
+    raise DomainError: primality there is not decided.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MILLER_RABIN_EXACT:
+        raise DomainError(
+            f"primality is decided only below {_MILLER_RABIN_EXACT}, not for {n}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -68,6 +106,8 @@ class PrimeField:
 
     def reduce(self, a) -> np.ndarray:
         """Return a as an int64 array with entries in 0..p-1."""
+        import numpy as np
+
         return np.asarray(a, dtype=np.int64) % self.p
 
     def inverse(self, a: int) -> int:
@@ -78,6 +118,8 @@ class PrimeField:
 
 
 def identity(n: int) -> np.ndarray:
+    import numpy as np
+
     if n <= 0:
         raise EmptyMatrixError("identity of size 0 requested")
     return np.eye(n, dtype=np.int64)
@@ -110,6 +152,8 @@ def kronecker(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
     Each entry is one product of reduced entries, so p needs
     (p-1)^2 < 2^63; larger p raise ShapeError.
     """
+    import numpy as np
+
     _check_int64_exact(1, field.p)
     a = field.reduce(a)
     b = field.reduce(b)
@@ -123,10 +167,17 @@ def kronecker(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
 
 def block_diagonal(blocks, field: PrimeField) -> np.ndarray:
     """Assemble square blocks into one block-diagonal matrix mod p."""
+    import numpy as np
+
     blocks = [field.reduce(b) for b in blocks]
     if not blocks:
         raise EmptyMatrixError("no blocks given")
     n = sum(b.shape[0] for b in blocks)
+    if n > MAX_DIMENSION:
+        raise ShapeError(
+            f"block-diagonal dimension {n} exceeds the configured bound "
+            f"{MAX_DIMENSION}"
+        )
     out = np.zeros((n, n), dtype=np.int64)
     at = 0
     for b in blocks:
@@ -150,6 +201,8 @@ def _echelon(m: np.ndarray, field: PrimeField) -> np.ndarray:
     m must be int64 with entries in 0..p-1; it is overwritten.  Returns
     the nonzero rows, one per pivot.
     """
+    import numpy as np
+
     p = field.p
     rows, cols = m.shape
     r = 0
@@ -196,6 +249,8 @@ def _multiply_linear_power(
 
     Coefficients are indexed by y-degree.
     """
+    import numpy as np
+
     for _ in range(k):
         new = np.zeros(coeffs.size + 1, dtype=np.int64)
         new[: coeffs.size] = (alpha * coeffs) % p
@@ -217,6 +272,8 @@ def sym_power(a: np.ndarray, c: int, field: PrimeField) -> np.ndarray:
     which stays below 2^63 whenever (p-1)^2 < 2^63; larger p raise
     ShapeError.
     """
+    import numpy as np
+
     _check_int64_exact(1, field.p)
     a = field.reduce(a)
     if a.shape != (2, 2):
@@ -246,6 +303,8 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     row(N^(s-1)) is pushed through N and reduced again, and it shrinks at
     every step.
     """
+    import numpy as np
+
     nil = field.reduce(m)
     if nil.ndim != 2 or nil.shape[0] != nil.shape[1]:
         raise ShapeError("jordan type needs a square matrix")

@@ -29,8 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import ffmatrix
 from .errors import (
@@ -41,6 +40,9 @@ from .errors import (
 )
 from .ffmatrix import PrimeField
 from .jordan import JordanType, tensor_multi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FormType(Enum):
@@ -362,13 +364,22 @@ _WEYL_RE = re.compile(r"^([WT])\((\d+)\)$")
 _TRIV_RE = re.compile(r"^(?:(\d+)\*)?triv$")
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise DescriptorParseError(
+            f"integer of {len(digits)} digits is too long"
+        ) from None
+
+
 def _parse_irr(text: str) -> IrreducibleDescriptor:
     factors = []
     for part in text.split("*"):
         m = _FACTOR_RE.match(part)
         if not m:
             raise DescriptorParseError(f"bad factor {part!r}")
-        factors.append(IrreducibleFactor(int(m.group(1)), int(m.group(2) or 0)))
+        factors.append(IrreducibleFactor(_int(m.group(1)), _int(m.group(2) or "0")))
     return IrreducibleDescriptor(tuple(factors))
 
 
@@ -381,12 +392,12 @@ def parse_descriptor(text: str, p: int) -> ModuleDescriptor:
     for term in compact.split("+"):
         m = _TRIV_RE.match(term)
         if m:
-            summands.append(Trivial(int(m.group(1) or 1)))
+            summands.append(Trivial(_int(m.group(1) or "1")))
             continue
         m = _WEYL_RE.match(term)
         if m:
             kind = Weyl if m.group(1) == "W" else Tilting
-            summands.append(kind(int(m.group(2))))
+            summands.append(kind(_int(m.group(2))))
             continue
         if term.startswith("2*"):
             summands.append(Doubled(_parse_irr(term[2:])))

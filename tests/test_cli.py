@@ -140,6 +140,70 @@ def test_enumerate_listing_budget_exits_one():
     assert proc.stderr.count("\n") == 1 and "140955 classes" in proc.stderr
 
 
+def _assert_one_line_refusal(proc, error):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and error in proc.stderr
+
+
+def test_prime_beyond_exact_range_exits_one():
+    proc = _run_cli_process(
+        ["classify", "classical", "--family", "SL", "--p",
+         "10000000000000000000000007", "--partition", "2,1"]
+    )
+    _assert_one_line_refusal(proc, "primality is decided only below")
+
+
+def test_module_integer_too_long_exits_one():
+    nines = "9" * 5000
+    for descriptor in (f"{nines}*triv", f"L({nines})"):
+        proc = _run_cli_process(["module", "-p", "5", descriptor, "--json"])
+        _assert_one_line_refusal(proc, "DescriptorParseError")
+
+
+def test_module_dimension_budget_exits_one():
+    proc = _run_cli_process(["module", "-p", "5", "10000001*triv", "--json"])
+    _assert_one_line_refusal(proc, "InvalidQueryError")
+    proc = _run_cli_process(
+        ["module", "-p", "5", "*".join(f"L(4)@{k}" for k in range(9)), "--json"]
+    )
+    _assert_one_line_refusal(proc, "module dimension 1953125")
+
+
+_QUERIES_WITHOUT_MATRICES = [
+    ["tensor", "-p", "7", "2,5"],
+    ["module", "-p", "5", "L(1)*L(3)@1+2*triv"],
+    ["classify", "classical", "--family", "C", "--dim", "10", "--p", "7",
+     "--partition", "6,1,1,1,1"],
+    ["classify", "exceptional", "--group", "E7", "--p", "7", "--label", "A6"],
+    ["witnesses", "--family", "Sp", "--p", "5", "--partition", "5,5"],
+    ["enumerate", "--form", "orthogonal", "--p", "5", "--dim", "8",
+     "--partition", "5,3"],
+]
+
+
+def test_queries_do_not_load_numpy():
+    """The closed-form queries answer without numpy; the package still
+    loads ffmatrix and selfcheck, and the first matrix operation loads it."""
+    script = f"""
+import io, sys
+from a1unicity import cli
+assert "a1unicity.ffmatrix" in sys.modules and "a1unicity.selfcheck" in sys.modules
+assert "numpy" not in sys.modules, "import"
+for argv in {_QUERIES_WITHOUT_MATRICES!r}:
+    assert cli.run(argv + ["--json"], out=io.StringIO()) == 0, argv
+    assert "numpy" not in sys.modules, argv
+from a1unicity import jordan
+assert jordan.tensor_pair_oracle(3, 5, 7).blocks == (7, 5, 3)
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 _GOLDEN = Path(__file__).parent / "data" / "enumerate_golden.jsonl"
 
 

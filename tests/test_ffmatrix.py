@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from a1unicity import ffmatrix
 from a1unicity.errors import (
+    DomainError,
     EmptyMatrixError,
     NotOrderPError,
     NotPrimeError,
@@ -10,7 +13,11 @@ from a1unicity.errors import (
     ShapeError,
 )
 from a1unicity.ffmatrix import (
+    MAX_DIMENSION,
     PrimeField,
+    block_diagonal,
+    identity,
+    is_prime,
     jordan_block_sizes,
     kronecker,
     rank,
@@ -220,3 +227,44 @@ def test_kronecker_and_sym_power_reject_int64_overflow():
     # x^2 -> (a00 x + a10 y)^2, in the basis x^2, xy, y^2
     want = [a00 * a00 % field.p, 2 * a00 * a10 % field.p, a10 * a10 % field.p]
     assert sym_power(np.array(a), 2, field)[:, 0].tolist() == want
+
+
+def test_is_prime_agrees_with_trial_division_below_200000():
+    limit = 200000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not is_prime(3215031751)  # to bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # to every base up to 23
+    assert not is_prime(318665857834031151167461)  # to every base up to 37
+    assert is_prime(2147483647) and is_prime(4294967311)
+
+
+def test_is_prime_is_fast_on_large_primes():
+    start = time.perf_counter()
+    assert is_prime.__wrapped__(100000000000031)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    with pytest.raises(DomainError) as err:
+        is_prime(10**25 + 7)  # no factor up to 41
+    assert "\n" not in str(err.value)
+    assert not is_prime(10**25 + 1)  # 11 divides it
+    with pytest.raises(DomainError):
+        PrimeField(10**25 + 7)
+
+
+def test_block_diagonal_rejects_oversized_result():
+    field = PrimeField(5)
+    assert block_diagonal([identity(2), identity(1)], field).shape == (3, 3)
+    with pytest.raises(ShapeError):
+        block_diagonal([identity(MAX_DIMENSION), identity(1)], field)
