@@ -2,7 +2,8 @@
 """Print the full J(m) x J(n) decomposition table for a prime.
 
 Every entry is computed by the closed form and re-checked against the
-matrix oracle on the spot.
+matrix oracle on the spot; a mismatch prints one line naming (m, n, p)
+and exits 1.
 
 Usage: python scripts/tensor_table.py [--p 7]
 """
@@ -28,7 +29,9 @@ def main() -> int:
         row = [f"J({m})".ljust(6)]
         for n in range(1, p + 1):
             t = tensor_pair(m, n, p)
-            assert t == tensor_pair_oracle(m, n, p), (m, n, p)
+            if t != tensor_pair_oracle(m, n, p):
+                print(f"oracle mismatch at (m, n, p) = ({m}, {n}, {p})", file=sys.stderr)
+                return 1
             row.append(jnotation(t.blocks).ljust(width))
         print("".join(row))
     print("\nall entries oracle-verified")

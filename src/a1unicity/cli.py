@@ -42,8 +42,9 @@ class _UsageError(Exception):
     pass
 
 
-# a1u module prints one Jordan block per trivial line and per tensor block,
-# so the answer is refused above this dimension before any block is listed
+# a1u module and a1u tensor print one Jordan block per trivial line and per
+# tensor block, so the answer is refused above this dimension before any
+# block is listed
 MAX_MODULE_DIMENSION = 10**6
 
 
@@ -107,6 +108,13 @@ def _emit(payload: dict, as_json: bool, lines, out) -> None:
 
 def _cmd_tensor(args, out) -> int:
     sizes = _sizes_arg(args.sizes)
+    dim = 1
+    for size in sizes:
+        dim *= size
+        if dim > MAX_MODULE_DIMENSION:
+            raise InvalidQueryError(
+                f"tensor dimension exceeds the answer budget {MAX_MODULE_DIMENSION}"
+            )
     t = tensor_multi(sizes, args.p)
     payload = {
         "command": "tensor",

@@ -6,13 +6,24 @@ canonical representatives 0..p-1, and rank is computed by Gaussian
 elimination in exact modular arithmetic.
 
 Elimination runs in int64, whose products of two reduced entries stay
-below 2^63 while (p-1)^2 < 2^63.  The Jordan-type oracle also multiplies
-an r x n matrix by an n x n one; each entry of such a product is a sum
-of n terms below (p-1)^2, so it runs in float64 BLAS while
+below 2^63 while (p-1)^2 < 2^63.  It visits only the columns that are
+nonzero in some row (a row operation never fills a column that is zero
+in every row), clears each pivot column with the multiplier
+m[i, c] * pivot^-1 mod p, and leaves pivot rows unscaled: its rows have
+strictly increasing leading columns and span the row space, which is
+all that rank and the Jordan-type oracle read.
+
+The Jordan-type oracle also multiplies an r x n matrix by N = m - I.
+When every column of N has at most _GATHER_MAX_NONZEROS nonzeros (as
+for Kronecker products of Jordan blocks, which have at most 3), the
+product is a sum of that many scaled column gathers of the left factor
+in int64; otherwise it is a BLAS product, in float64 while
 n*(p-1)^2 < 2^53 (every partial sum is then an integer that float64
-holds exactly) and in int64 while n*(p-1)^2 < 2^63.  rank and
-jordan_block_sizes raise ShapeError beyond the int64 bound instead of
-overflowing; so do kronecker and sym_power, which need (p-1)^2 < 2^63.
+holds exactly) and in int64 beyond.  Either way each entry is a sum of
+at most n products below (p-1)^2, so both paths are exact while
+n*(p-1)^2 < 2^63.  rank and jordan_block_sizes raise ShapeError beyond
+that bound instead of overflowing; so do kronecker and sym_power, which
+need (p-1)^2 < 2^63.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, symmetric powers of the standard unipotent)
@@ -50,6 +61,12 @@ MAX_DIMENSION = 4096
 # Integers up to these bounds are exact in float64 and in int64.
 _FLOAT64_EXACT = 2**53
 _INT64_EXACT = 2**63
+
+# Right products by N = m - I gather columns while no column of N has
+# more nonzeros than this; denser N (realized modules) go through BLAS,
+# which wins from about 8 nonzeros per column at n = 150..460 on a 2-vCPU
+# host.
+_GATHER_MAX_NONZEROS = 4
 
 
 # Strong-probable-prime tests to the first 13 primes decide primality
@@ -199,14 +216,16 @@ def _echelon(m: np.ndarray, field: PrimeField) -> np.ndarray:
     """Row-echelon basis of the row space of m over GF(p).
 
     m must be int64 with entries in 0..p-1; it is overwritten.  Returns
-    the nonzero rows, one per pivot.
+    one unscaled row per pivot: the rows have strictly increasing
+    leading columns and span the row space of m.
     """
     import numpy as np
 
     p = field.p
-    rows, cols = m.shape
+    rows = m.shape[0]
     r = 0
-    for c in range(cols):
+    # a column that is zero in every row stays zero under row operations
+    for c in m.any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
         pivots = m[r:, c].nonzero()[0]
@@ -214,15 +233,16 @@ def _echelon(m: np.ndarray, field: PrimeField) -> np.ndarray:
             continue
         i = r + int(pivots[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        # entries left of c vanish in rows r.. , so work on columns c.. only
-        m[r, c:] = (m[r, c:] * field.inverse(m[r, c])) % p
+            row = m[i].copy()
+            m[i] = m[r]
+            m[r] = row
         # after the swap, row i is zero in column c, so the rows still to
-        # clear are the other pivots
+        # clear are the other pivots; entries left of c vanish in rows r..
         below = pivots[1:] + r
         if below.size:
+            factor = m[below, c] * field.inverse(m[r, c]) % p
             block = m[below, c:]
-            block -= np.outer(block[:, 0], m[r, c:])
+            block -= factor[:, None] * m[r, c:]
             block %= p
             m[below, c:] = block
         r += 1
@@ -292,6 +312,42 @@ def sym_power(a: np.ndarray, c: int, field: PrimeField) -> np.ndarray:
     return out
 
 
+def _gather_columns(nil: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sparse columns of nil, or None if one has over _GATHER_MAX_NONZEROS.
+
+    Returns k x n arrays idx and val with nil[:, j] equal to the sum over t
+    of val[t, j] times the unit vector idx[t, j]; unused slots hold 0.
+    """
+    import numpy as np
+
+    counts = np.count_nonzero(nil, axis=0)
+    k = max(int(counts.max()), 1)
+    if k > _GATHER_MAX_NONZEROS:
+        return None
+    cols, rows = nil.T.nonzero()  # ordered by column, then row
+    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((k, nil.shape[1]), dtype=np.intp)
+    val = np.zeros((k, nil.shape[1]), dtype=np.int64)
+    idx[slot, cols] = rows
+    val[slot, cols] = nil[rows, cols]
+    return idx, val
+
+
+def _gather_product(
+    basis: np.ndarray, idx: np.ndarray, val: np.ndarray, p: int
+) -> np.ndarray:
+    """basis @ nil mod p in int64, for (idx, val) = _gather_columns(nil).
+
+    Each entry is a sum of k <= n products below (p-1)^2, so the caller's
+    _check_int64_exact(n, p) makes it exact.
+    """
+    out = basis.take(idx[0], axis=1) * val[0]
+    for t in range(1, idx.shape[0]):
+        out += basis.take(idx[t], axis=1) * val[t]
+    out %= p
+    return out
+
+
 def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     """Partition of Jordan block sizes of a unipotent matrix of order <= p.
 
@@ -301,7 +357,8 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
 
     N^s is never formed: row(N^s) = row(N^(s-1)) N, so an echelon basis of
     row(N^(s-1)) is pushed through N and reduced again, and it shrinks at
-    every step.
+    every step.  The push gathers columns when N is sparse enough and is a
+    BLAS product otherwise (see the module docstring).
     """
     import numpy as np
 
@@ -313,9 +370,11 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     _check_int64_exact(n, p)
     nil -= identity(n)
     nil %= p
-    # every entry of basis @ nil is a sum of n products below (p-1)^2
-    exact_dtype = np.float64 if n * (p - 1) ** 2 < _FLOAT64_EXACT else np.int64
-    right = nil.astype(exact_dtype)
+    gather = _gather_columns(nil)
+    if gather is None:
+        # every entry of basis @ nil is a sum of n products below (p-1)^2
+        exact_dtype = np.float64 if n * (p - 1) ** 2 < _FLOAT64_EXACT else np.int64
+        right = nil.astype(exact_dtype)
     ranks = [n]
     basis = _echelon(nil, field)
     s = 1
@@ -331,9 +390,13 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
             raise NotOrderPError(
                 f"(m - 1)^{p} != 0: element order exceeds p = {p}"
             )
-        basis = basis.astype(exact_dtype, copy=False) @ right
-        basis %= p
-        basis = _echelon(basis.astype(np.int64, copy=False), field)
+        if gather is None:
+            basis = basis.astype(exact_dtype, copy=False) @ right
+            basis %= p
+            basis = basis.astype(np.int64, copy=False)
+        else:
+            basis = _gather_product(basis, *gather, p)
+        basis = _echelon(basis, field)
         s += 1
     at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
     at_least.append(0)

@@ -10,6 +10,7 @@ suite cross-checks the two exhaustively.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,10 +58,10 @@ class JordanType:
 
 def jnotation(blocks) -> str:
     """Render a partition in J-notation, e.g. (3, 3, 1, 1) -> 'J3^2+J1^2'."""
-    out = []
-    for size in sorted(set(blocks), reverse=True):
-        mult = list(blocks).count(size)
-        out.append(f"J{size}" + (f"^{mult}" if mult > 1 else ""))
+    out = [
+        f"J{size}" + (f"^{mult}" if mult > 1 else "")
+        for size, mult in sorted(Counter(blocks).items(), reverse=True)
+    ]
     return "+".join(out) if out else "0"
 
 

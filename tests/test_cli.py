@@ -171,6 +171,15 @@ def test_module_dimension_budget_exits_one():
     _assert_one_line_refusal(proc, "module dimension 1953125")
 
 
+def test_tensor_dimension_budget_exits_one():
+    proc = _run_cli_process(["tensor", "-p", "1000003", "10000,10000", "--json"])
+    _assert_one_line_refusal(proc, "exceeds the answer budget 1000000")
+    code, payload = capture_json(["tensor", "-p", "1000003", "1000,1000"])
+    assert code == 0
+    assert payload["result"]["dimension"] == 10**6
+    assert payload["result"]["blocks"] == list(range(1999, 0, -2))
+
+
 _QUERIES_WITHOUT_MATRICES = [
     ["tensor", "-p", "7", "2,5"],
     ["module", "-p", "5", "L(1)*L(3)@1+2*triv"],

@@ -2,8 +2,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from a1unicity import ffmatrix
+from a1unicity import ffmatrix, sl2modules
 from a1unicity.errors import (
     DomainError,
     EmptyMatrixError,
@@ -146,7 +147,7 @@ def test_rank_examples():
     assert rank(a, f5) == 2
 
 
-@pytest.mark.parametrize("m, n, p", [(20, 23, 23), (17, 26, 29)])
+@pytest.mark.parametrize("m, n, p", [(20, 23, 23), (17, 26, 29), (31, 31, 31)])
 def test_oracle_matches_closed_form_on_large_pairs(m, n, p):
     assert tensor_pair_oracle(m, n, p) == tensor_pair(m, n, p)
 
@@ -268,3 +269,108 @@ def test_block_diagonal_rejects_oversized_result():
     assert block_diagonal([identity(2), identity(1)], field).shape == (3, 3)
     with pytest.raises(ShapeError):
         block_diagonal([identity(MAX_DIMENSION), identity(1)], field)
+
+
+def _reference_echelon(rows, p):
+    """Reduced row-echelon rows of a list-of-lists matrix over GF(p).
+
+    Plain Python integers throughout, so it shares no code with _echelon.
+    """
+    rows = [list(row) for row in rows]
+    out = []
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[c] % p), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[c], p - 2, p)
+        pivot = [x * inv % p for x in pivot]
+        rows = [[(x - row[c] * y) % p for x, y in zip(row, pivot)] for row in rows]
+        out.append(pivot)
+    return out
+
+
+_ECHELON_PRIMES = (2, 3, 5, 13, 4099, 100000007, 2147483647)
+
+
+@st.composite
+def _echelon_inputs(draw):
+    """A matrix over GF(p), at most 30 x 30, with zero columns and repeated rows."""
+    p = draw(st.sampled_from(_ECHELON_PRIMES))
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.1, 0.3, 1.0)))
+    m = rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < density)
+    m[:, rng.random(cols) < draw(st.sampled_from((0.0, 0.3)))] = 0
+    for _ in range(draw(st.integers(0, rows - 1))):
+        i, j = rng.integers(0, rows, 2)
+        m[i] = m[j] * int(rng.integers(0, p)) % p  # a repeated or scaled row
+    return m.astype(np.int64), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_echelon_inputs())
+def test_echelon_matches_reference_elimination(case):
+    m, p = case
+    want = _reference_echelon(m.tolist(), p)
+    got = ffmatrix._echelon(m.copy(), PrimeField(p)).tolist()
+    assert len(got) == len(want)
+    assert all(0 <= x < p for row in got for x in row)
+    leads = [next(c for c, x in enumerate(row) if x) for row in got]
+    assert leads == sorted(set(leads))  # strictly increasing, so rows are nonzero
+    # equal rank and no growth when stacked: the two row spaces coincide
+    assert len(_reference_echelon(got + want, p)) == len(want)
+
+
+def _sparse_columns(n, most, p, rng):
+    """n x n matrix over GF(p) with 0..most nonzeros per column, one with most."""
+    nil = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        k = most if j == n // 2 else int(rng.integers(0, most + 1))
+        nil[rng.choice(n, k, replace=False), j] = rng.integers(1, p, k)
+    return nil
+
+
+@pytest.mark.parametrize("p", [2, 5, 31, 4099, 100000007])
+def test_gather_product_equals_dense_product(p):
+    rng = np.random.default_rng(p)
+    for most in range(1, ffmatrix._GATHER_MAX_NONZEROS + 1):
+        nil = _sparse_columns(40, most, p, rng)
+        gather = ffmatrix._gather_columns(nil)
+        assert gather is not None and gather[0].shape == (most, 40)
+        basis = rng.integers(0, p, (17, 40))
+        want = basis.astype(object) @ nil.astype(object) % p
+        got = ffmatrix._gather_product(basis, *gather, p)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    nil = _sparse_columns(40, ffmatrix._GATHER_MAX_NONZEROS + 1, p, rng)
+    assert ffmatrix._gather_columns(nil) is None  # BLAS product instead
+    assert ffmatrix._gather_columns(np.zeros((3, 3), dtype=np.int64))[0].shape == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "m, n, p, seed", [(2, 5, 5, 1), (4, 7, 7, 2), (6, 6, 7, 3), (5, 9, 11, 4), (8, 11, 13, 5)]
+)
+def test_oracle_on_permuted_kronecker_products(m, n, p, seed):
+    field = PrimeField(p)
+    a = kronecker(
+        unipotent_jordan_block(field, m), unipotent_jordan_block(field, n), field
+    )
+    perm = np.random.default_rng(seed).permutation(m * n)
+    conj = a[np.ix_(perm, perm)]  # P a P^-1 for a permutation matrix P
+    # N = conj - I has at most 3 nonzeros per column, now scattered
+    assert ffmatrix._gather_columns((conj - identity(m * n)) % p) is not None
+    assert jordan_block_sizes(conj, field) == tensor_pair(m, n, p).blocks
+
+
+@pytest.mark.parametrize(
+    "p, descriptor",
+    [(5, "L(2)*L(3)@1*L(4)@2"), (7, "L(3)*L(2)@1*L(5)@2"), (11, "L(4)*L(5)@1*L(3)@2")],
+)
+def test_oracle_on_realized_three_factor_modules(p, descriptor):
+    d = sl2modules.parse_descriptor(descriptor, p)
+    a = sl2modules.realize(d)
+    n = a.shape[0]
+    # N = a - I is dense, so the oracle multiplies through BLAS
+    assert ffmatrix._gather_columns((a - identity(n)) % p) is None
+    assert jordan_block_sizes(a, PrimeField(p)) == sl2modules.jordan_type(d).blocks

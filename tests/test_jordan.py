@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,14 @@ def test_jordan_type_enforces_order_p():
 def test_jnotation():
     assert jnotation((3, 3, 1, 1)) == "J3^2+J1^2"
     assert jnotation((7,)) == "J7"
+
+
+def test_jnotation_is_linear_in_the_number_of_blocks():
+    blocks = tuple(range(100000, 0, -1)) + (7, 7)
+    start = time.perf_counter()
+    text = jnotation(blocks)
+    assert time.perf_counter() - start < 0.5
+    assert text.startswith("J100000+J99999+") and "+J7^3+" in text
 
 
 def test_tensor_pair_stated_values():
