@@ -10,29 +10,42 @@ is an independent re-derivation of the classical unicity verdicts: a
 partition meets a unique class of A1-overgroups exactly when one
 canonical structure survives and raising the twist bound adds nothing.
 
-The count is one memoized recursion over the atom pool.  It chooses a
-multiplicity k for each atom in pool order, and every admissibility
-test is local to that choice:
+The count is one memoized recursion over the groups of the atom pool:
+the atoms of one Jordan type and form, which differ only in their
+twists.  At a group it chooses a total multiplicity K and the union F
+of the twist flags of the atoms that get a copy, and weights that branch
+by the number of ways to spread K copies over the group's atoms with
+flag union F.  For a class of c atoms with equal flags, k copies spread
+in
 
-  * odd k leaves a lone copy, which must carry the ambient form itself
-    (pairs always pair up hyperbolically);
-  * with distinct_irr, k <= 1 and every chosen atom carries the form;
-  * at the leaf the leftover 1-blocks are the trivial summand: an even
-    number of them under a symplectic form, at most one with
-    distinct_irr.
+  * C(k + c - 1, c - 1) ways when a lone copy carries the ambient form;
+  * C(k/2 + c - 1, c - 1) ways for even k, and none for odd k, when it
+    does not (a lone copy must carry the form itself; pairs always pair
+    up hyperbolically);
+  * C(c, k) ways with distinct_irr, where a group whose lone copy
+    cannot carry the form is unusable;
 
-The state is the atom index, the remaining block counts and two flags:
+and the weight of (K, F) combines the at most four flag classes.  At
+the leaf the leftover 1-blocks are the trivial summand: an even number
+of them under a symplectic form, and at most one with distinct_irr.
+
+The state is the group index, the remaining block counts and two flags:
 "some chosen factor has twist 0" and "some chosen factor has twist
 max_twist".  A multiset whose least twist is s > 0 is the shift of one
 whose least twist is 0, so the classes are exactly the completions with
 the twist-0 flag, and no shifts need deduplicating; the all-trivial
 structure adds one more when it is admissible.  The family grows with
-the twist bound iff some completion sets both flags.  The memo belongs
-to one query and is freed with its result.
+the twist bound iff some completion sets both flags.  Skipping a group
+(K = 0) is followed forward in a loop, so the recursion nests once per
+group chosen with K >= 1, which uses up at least one nontrivial block:
+it is never deeper than the number of nontrivial blocks.  The memo
+belongs to one query and is freed with its result.
 
 The listing is lazy: EnumerationResult.classes walks the same memo on
-first read, enters only branches whose count is nonzero and builds each
-class's descriptor once, in canonical form:
+first read and enters only branches whose count is nonzero: at a group
+it expands the concrete atom assignments of K copies once per K and
+follows those whose flag union F leads to a nonzero count.  It builds
+each class's descriptor once, in canonical form:
 
   * the minimum twist over all factors of all nontrivial summands is 0;
   * m isomorphic copies of an irreducible M are stored as floor(m/2)
@@ -53,7 +66,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 from typing import Callable, NamedTuple
 
@@ -73,7 +86,7 @@ from .sl2modules import (
 
 # Bound on (atom pool size) x (sub-multisets of the target partition),
 # which bounds the memo of one query.  It also keeps the recursion
-# shallow: the recursion nests once per chosen atom, at most
+# shallow: the recursion nests once per chosen group, at most
 # min(atoms, blocks) <= sqrt(MAX_SEARCH) deep.
 MAX_SEARCH = 100_000
 
@@ -231,6 +244,20 @@ def _atom_pool(p: int, max_twist: int, max_dim: int):
     )
 
 
+@lru_cache(maxsize=None)
+def _pool_flags(p: int, max_twist: int, max_dim: int):
+    """For each group of _atom_pool(p, max_twist, max_dim): the twist
+    flags of its atoms (bit 0: a factor of twist 0, bit 1: a factor of
+    twist max_twist) and the number of its atoms with each flag value."""
+    out = []
+    for _, _, atoms in _atom_pool(p, max_twist, max_dim):
+        atom_flags = tuple(
+            (a.min_twist == 0) | (a.max_twist == max_twist) << 1 for a in atoms
+        )
+        out.append((atom_flags, tuple(atom_flags.count(f) for f in range(4))))
+    return tuple(out)
+
+
 def jordan_menu(
     form: FormType, p: int, max_dim: int
 ) -> list[tuple[IrreducibleDescriptor, JordanType]]:
@@ -270,32 +297,81 @@ def jordan_menu(
     return out
 
 
-class _Atom(NamedTuple):
-    desc: IrreducibleDescriptor
-    need: tuple[int, ...]  # blocks used, counted per target block size
+def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
+    """The ways to spread k copies over this many atoms: any
+    multiplicities, even ones only when a lone copy cannot carry the
+    ambient form, or distinct atoms under distinct_irr (whose groups all
+    carry the form)."""
+    if distinct_irr:
+        return comb(atoms, k)
+    if lone_ok:
+        return comb(k + atoms - 1, atoms - 1)
+    return comb(k // 2 + atoms - 1, atoms - 1) if k % 2 == 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _branch_weights(flag_counts, lone_ok: bool, distinct_irr: bool, k: int):
+    """(flag union, ways) for each union of twist flags reachable by k
+    copies of a group whose atoms fall into flag classes of these sizes;
+    a class adds its flags to the union iff it gets a copy."""
+    ways = {(0, 0): 1}  # (copies spread so far, flag union) -> ways
+    for flags, atoms in enumerate(flag_counts):
+        if not atoms:
+            continue
+        grown: Counter = Counter()
+        for (spent, union), w in ways.items():
+            grown[spent, union] += w
+            for j in range(1, k - spent + 1):
+                spread = _spread(j, atoms, lone_ok, distinct_irr)
+                if spread:
+                    grown[spent + j, union | flags] += w * spread
+        ways = grown
+    return tuple(sorted((union, w) for (spent, union), w in ways.items() if spent == k))
+
+
+def _assignments(atoms: int, lone_ok: bool, distinct_irr: bool, k: int):
+    """The (atom index, multiplicity) lists, indices ascending, that
+    _spread counts for k copies over this many atoms."""
+    if distinct_irr:
+        picks = combinations(range(atoms), k)
+    elif lone_ok:
+        picks = combinations_with_replacement(range(atoms), k)
+    else:
+        picks = (
+            pairs + pairs
+            for pairs in combinations_with_replacement(range(atoms), k // 2)
+        )
+    for pick in picks:
+        yield sorted(Counter(pick).items())
+
+
+class _Group(NamedTuple):
+    atoms: tuple[IrreducibleDescriptor, ...]
+    atom_flags: tuple[int, ...]  # per atom, as in _pool_flags
+    need: tuple[int, ...]  # blocks used by one copy, counted per target block size
     used: tuple[tuple[int, int], ...]  # (size index, count) where need > 0
-    lone_ok: bool  # an odd multiplicity is admissible
-    flags: int  # bit 0: has a factor of twist 0; bit 1: of twist max_twist
+    lone_ok: bool  # one copy may carry the ambient form itself
+    weights: tuple  # weights[k]: _branch_weights of k copies
 
 
 class _Search:
     """The counting recursion of one query and its memo.
 
     count(i, rem, flags) is the pair (completions with the twist-0 flag,
-    those with both flags) over multiplicities of atoms i, i+1, ... that
-    use up the nontrivial blocks in rem, with flags set so far.
+    those with both flags) over multiplicities of groups i, i+1, ...
+    that use up the nontrivial blocks in rem, with flags set so far.
     """
 
-    def __init__(self, atoms, sizes, target, form, distinct_irr, p):
-        self.atoms = atoms
+    def __init__(self, groups, sizes, target, form, distinct_irr, p):
+        self.groups = groups
         self.target = target
         self.form = form
         self.distinct_irr = distinct_irr
         self.p = p
         self.one = sizes.index(1) if 1 in sizes else None
-        # the last atom using each block size: past it, that size is stuck
+        # the last group using each block size: past it, that size is stuck
         self.last = [
-            max((i for i, a in enumerate(atoms) if a.need[j]), default=-1)
+            max((i for i, g in enumerate(groups) if g.need[j]), default=-1)
             for j in range(len(sizes))
         ]
         self.memo: dict = {}
@@ -304,29 +380,27 @@ class _Search:
         return rem[self.one] if self.one is not None else 0
 
     def trivial_ok(self, ones: int) -> bool:
-        if self.distinct_irr:
-            return ones <= 1
+        if self.distinct_irr and ones > 1:
+            return False
         return self.form is not FormType.SYMPLECTIC or ones % 2 == 0
 
     def stop(self, rem) -> int | None:
-        """First atom index from which rem can no longer be used up, or
+        """First group index from which rem can no longer be used up, or
         None when only 1-blocks remain."""
         stuck = [
             self.last[j] + 1 for j, r in enumerate(rem) if r and j != self.one
         ]
         return min(stuck) if stuck else None
 
-    def branches(self, i, rem, flags):
-        """(k, remaining, flags) for each admissible multiplicity k >= 1
-        of atom i."""
-        atom = self.atoms[i]
-        k_max = min(rem[j] // n for j, n in atom.used)
-        if self.distinct_irr:
-            k_max = min(k_max, 1)
-        step = 1 if atom.lone_ok else 2
-        flags |= atom.flags
-        for k in range(step, k_max + 1, step):
-            yield k, tuple(r - k * n for r, n in zip(rem, atom.need)), flags
+    def branches(self, i, rem):
+        """(k, remaining, weights) for each total multiplicity k >= 1 of
+        group i that some spread over its atoms admits."""
+        group = self.groups[i]
+        k_max = min(rem[j] // n for j, n in group.used)
+        for k in range(1, k_max + 1):
+            weights = group.weights[k]
+            if weights:
+                yield k, tuple(r - k * n for r, n in zip(rem, group.need)), weights
 
     def count(self, i, rem, flags) -> tuple[int, int]:
         memo = self.memo
@@ -346,10 +420,11 @@ class _Search:
         value = memo.get((j, rem, flags), (0, 0))
         for j in range(j - 1, i - 1, -1):
             n0, both = value
-            for _, r, f in self.branches(j, rem, flags):
-                a, b = self.count(j + 1, r, f)
-                n0 += a
-                both += b
+            for _, r, weights in self.branches(j, rem):
+                for union, ways in weights:
+                    a, b = self.count(j + 1, r, flags | union)
+                    n0 += ways * a
+                    both += ways * b
             value = memo[(j, rem, flags)] = (n0, both)
         return value
 
@@ -371,15 +446,30 @@ class _Search:
                 return
             here = self.count(i, rem, flags)[0]
             for j in range(i, stop):
-                # the memo holds every (j, rem, flags) below stop; atom j
+                # the memo holds every (j, rem, flags) below stop; group j
                 # is used iff skipping it loses completions
                 rest = memo.get((j + 1, rem, flags), (0, 0))[0]
                 if rest != here:
-                    for k, r, f in self.branches(j, rem, flags):
-                        if self.count(j + 1, r, f)[0]:
-                            chosen.append((self.atoms[j].desc, k))
-                            walk(j + 1, r, f)
-                            chosen.pop()
+                    group = self.groups[j]
+                    for k, r, weights in self.branches(j, rem):
+                        live = {
+                            union for union, _ in weights
+                            if self.count(j + 1, r, flags | union)[0]
+                        }
+                        if not live:
+                            continue
+                        for assignment in _assignments(
+                            len(group.atoms), group.lone_ok, self.distinct_irr, k
+                        ):
+                            union = 0
+                            for a, _ in assignment:
+                                union |= group.atom_flags[a]
+                            if union in live:
+                                chosen.extend(
+                                    (group.atoms[a], m) for a, m in assignment
+                                )
+                                walk(j + 1, r, flags | union)
+                                del chosen[-len(assignment):]
                 if not rest:
                     return
                 here = rest
@@ -440,21 +530,27 @@ def enumerate_embeddings(
 
     sizes = sorted(target, reverse=True)
     where = {size: j for j, size in enumerate(sizes)}
-    atoms = []
-    for jordan, atom_form, descs in _atom_pool(p, max_twist, dim):
+    groups = []
+    for (jordan, atom_form, descs), (atom_flags, flag_counts) in zip(
+        _atom_pool(p, max_twist, dim), _pool_flags(p, max_twist, dim)
+    ):
         if any(target[size] < n for size, n in jordan):
             continue
+        lone_ok = form is FormType.NONE or atom_form is form
+        if distinct_irr and not lone_ok:
+            continue  # every summand would have to be a lone copy
         need = [0] * len(sizes)
         for size, n in jordan:
             need[where[size]] = n
         need = tuple(need)
         used = tuple((j, n) for j, n in enumerate(need) if n)
-        lone_ok = form is FormType.NONE or atom_form is form
-        for desc in descs:
-            flags = (desc.min_twist == 0) | (desc.max_twist == max_twist) << 1
-            atoms.append(_Atom(desc, need, used, lone_ok, flags))
+        weights = tuple(
+            _branch_weights(flag_counts, lone_ok, distinct_irr, k)
+            for k in range(min(target[sizes[j]] // n for j, n in used) + 1)
+        )
+        groups.append(_Group(descs, atom_flags, need, used, lone_ok, weights))
     search = _Search(
-        atoms, sizes, tuple(target[size] for size in sizes), form, distinct_irr, p
+        groups, sizes, tuple(target[size] for size in sizes), form, distinct_irr, p
     )
     count, both = search.count(0, search.target, 0)
     if search.all_trivial_ok():

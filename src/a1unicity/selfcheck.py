@@ -216,11 +216,13 @@ def check_classifier_vs_enumeration(quick: bool = False):
     """Classifier verdict Unique iff exactly one stable enumeration class,
     for every valid partition with all blocks below p."""
     if quick:
+        primes = (5, 7)
         ranges = {"SL": range(2, 7), "Sp": range(4, 9, 2), "SO": range(7, 10)}
     else:
+        primes = (5, 7, 11, 13)
         ranges = {"SL": range(2, 13), "Sp": range(4, 17, 2), "SO": range(7, 16)}
     cases = 0
-    for p in (5, 7):
+    for p in primes:
         for family, dims, form in (
             ("SL", ranges["SL"], FormType.NONE),
             ("Sp", ranges["Sp"], FormType.SYMPLECTIC),

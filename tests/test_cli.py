@@ -2,7 +2,10 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from a1unicity import cli, sl2modules
 from a1unicity.cli import run
@@ -115,6 +118,19 @@ def _run_cli_process(argv):
         [sys.executable, "-c", "from a1unicity.cli import main; main()", *argv],
         capture_output=True, text=True, timeout=60,
     )
+
+
+def test_module_entry_points_match_the_console_script():
+    argv = ["tensor", "-p", "5", "2,3", "--json"]
+    console = _run_cli_process(argv)
+    assert console.returncode == 0 and console.stdout.startswith('{"command":"tensor"')
+    for module in ("a1unicity", "a1unicity.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, module
+        assert (proc.stdout, proc.stderr) == (console.stdout, ""), module
 
 
 def test_enumerate_search_budget_exits_one():
@@ -285,3 +301,99 @@ def test_json_repeatability_in_process():
         _, first = capture(argv + ["--json"])
         _, second = capture(argv + ["--json"])
         assert first == second
+
+
+_PRIMES = st.sampled_from(
+    ["2", "3", "5", "7", "11", "13", "0", "1", "4", "9", "-3", "x"]
+)
+_FAMILIES = st.sampled_from(["A", "B", "C", "D", "SL", "Sp", "SO", "sp", "Q"])
+_DIMS = st.one_of(st.just([]), st.integers(-2, 12).map(lambda d: ["--dim", str(d)]))
+_IRREDUCIBLES = st.lists(
+    st.tuples(st.integers(0, 14), st.integers(0, 3)), min_size=1, max_size=3
+).map(lambda factors: "*".join(f"L({w})@{t}" for w, t in factors))
+_SUMMANDS = st.one_of(
+    _IRREDUCIBLES,
+    _IRREDUCIBLES.map(lambda s: "2*" + s),
+    st.integers(0, 20).map(lambda c: f"W({c})"),
+    st.integers(0, 20).map(lambda c: f"T({c})"),
+    st.integers(0, 12).map(lambda k: f"{k}*triv"),
+)
+_DESCRIPTORS = st.one_of(
+    st.lists(_SUMMANDS, min_size=1, max_size=3).map("+".join),
+    st.sampled_from(
+        ["", "+", "L(", "L(1)@", "2*", "triv*3", "L(-1)", "L(1)**L(2)", "W(5)+"]
+    ),
+)
+_GROUPS = st.sampled_from(["G2", "F4", "E6", "E7", "E8", "E9"])
+_LABELS = st.sampled_from(
+    ["A1", "~A1", "Ã1", "G2(a1)", "(A5)'", "E8(a7)", "A3", "", "zz"]
+)
+_FORMS = st.sampled_from(["none", "symplectic", "orthogonal", "both"])
+_SIZES = st.one_of(
+    st.lists(st.integers(0, 15), min_size=1, max_size=3).map(
+        lambda sizes: ",".join(map(str, sizes))
+    ),
+    st.sampled_from(["", ",", "2,x", "-1", "2,,3"]),
+)
+
+
+@st.composite
+def _partition_texts(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["", ",", "1,3", "0", "-2,1", "a", "3,,1"]))
+    parts, room = [], draw(st.integers(1, 10))
+    while room:
+        parts.append(draw(st.integers(1, room)))
+        room -= parts[-1]
+    return ",".join(map(str, sorted(parts, reverse=True)))
+
+
+@st.composite
+def _query_argv(draw):
+    command = draw(st.sampled_from(
+        ["tensor", "module", "classical", "exceptional", "enumerate", "witnesses"]
+    ))
+    p = draw(_PRIMES)
+    if command == "tensor":
+        argv = ["tensor", "-p", p, draw(_SIZES)]
+    elif command == "module":
+        argv = ["module", "-p", p, draw(_DESCRIPTORS)]
+    elif command == "classical":
+        argv = ["classify", "classical", "--family", draw(_FAMILIES), *draw(_DIMS),
+                "--p", p, "--partition", draw(_partition_texts())]
+    elif command == "exceptional":
+        argv = ["classify", "exceptional", "--group", draw(_GROUPS),
+                "--p", p, "--label", draw(_LABELS)]
+    elif command == "enumerate":
+        argv = ["enumerate", "--form", draw(_FORMS), *draw(_DIMS),
+                "--p", p, "--partition", draw(_partition_texts()),
+                "--max-twist", str(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            argv.append("--distinct-irr")
+    else:
+        argv = ["witnesses", "--family", draw(_FAMILIES), *draw(_DIMS),
+                "--p", p, "--partition", draw(_partition_texts())]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(_query_argv())
+def test_every_query_is_answered_or_refused_in_one_line(argv):
+    """Exit 0, 1 or 2 and never a traceback.  Exit 1 is either a refusal
+    (no stdout, one `a1u:` line on stderr) or a classify verdict outside
+    the tables (OutOfScope, BadPrime, UnknownLabel) printed as the answer."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = run(argv, out=out)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and not out.getvalue():
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("a1u:"), lines
+    elif code == 1:
+        assert argv[0] == "classify" and err.getvalue() == ""
+        if "--json" in argv:
+            verdict = json.loads(out.getvalue())["result"]["verdict"]
+            assert verdict in ("OutOfScope", "BadPrime", "UnknownLabel")

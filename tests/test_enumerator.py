@@ -1,9 +1,15 @@
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, product
+from math import prod
+
 import pytest
 
 from a1unicity.classical import SL, SO, Partition, Sp, validate
 from a1unicity.enumerator import (
     MAX_SEARCH,
     _atom_pool,
+    _branch_weights,
     _pool_size,
     canonicalize,
     dn_partition_list,
@@ -20,6 +26,9 @@ from a1unicity.ffmatrix import PrimeField
 from a1unicity.jordan import jordan_type_of_unipotent
 from a1unicity.sl2modules import (
     FormType,
+    Irr,
+    IrreducibleDescriptor,
+    IrreducibleFactor,
     admits_form,
     Trivial,
     Weyl,
@@ -276,3 +285,109 @@ def test_largest_benchmark_input_fits_the_search_budget():
     # dim 16 at p = 7 with twists <= 4; the CLI tests cover the refusals
     res = enumerate_embeddings(FormType.SYMPLECTIC, 16, (3, 3, 2, 2, 1, 1, 1, 1, 1, 1), 7, 4)
     assert res.count == len(res.classes)
+
+
+def _brute_irreducibles(p, max_twist, max_dim):
+    """Every twisted tensor-product irreducible of dimension <= max_dim
+    with twists in 0..max_twist: one restricted weight per twist of a
+    nonempty twist set."""
+    out = []
+    for size in range(1, max_twist + 2):
+        for twists in combinations(range(max_twist + 1), size):
+            for weights in product(range(1, p), repeat=size):
+                if prod(w + 1 for w in weights) <= max_dim:
+                    out.append(IrreducibleDescriptor(
+                        tuple(map(IrreducibleFactor, weights, twists))
+                    ))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _brute_structures(p, max_twist, blocks):
+    """(irreducible multiset, trivial lines) for every multiset of
+    irreducibles whose Jordan types, plus trivial lines, make up blocks."""
+    atoms = []
+    for m in _brute_irreducibles(p, max_twist, sum(blocks)):
+        atoms.append((m, Counter(m.jordan_type(p).blocks)))
+    out = []
+
+    def grow(i, chosen, rem):
+        if not +Counter({b: n for b, n in rem.items() if b != 1}):
+            out.append((tuple(chosen), rem[1]))
+        for j in range(i, len(atoms)):
+            m, need = atoms[j]
+            if not need - rem:
+                chosen.append(m)
+                grow(j, chosen, rem - need)
+                chosen.pop()
+
+    grow(0, [], Counter(blocks))
+    return out
+
+
+def _brute_classes(form, p, max_twist, blocks, distinct_irr):
+    """The canonical classes of the admissible structures, as strings."""
+    classes = set()
+    for chosen, ones in _brute_structures(p, max_twist, blocks):
+        summands = tuple(Irr(m) for m in chosen) + ((Trivial(ones),) if ones else ())
+        cls = canonicalize(ModuleDescriptor(summands, p))
+        if not admits_form(cls.descriptor, form):
+            continue
+        if distinct_irr and (len(set(chosen)) < len(chosen) or ones > 1):
+            continue
+        classes.add(str(cls))
+    return classes
+
+
+def test_count_and_listing_match_a_brute_force_enumeration():
+    """Against an independent search over all irreducible multisets,
+    deduplicated by canonicalize: equal classes, count and growth flag
+    (the count at max_twist exceeds the count at max_twist - 1)."""
+    queries = 0
+    for p in (3, 5, 7):
+        for dim in range(1, 8):
+            for blocks in partitions_bounded(dim, p):
+                for form in (FormType.NONE, FormType.SYMPLECTIC, FormType.ORTHOGONAL):
+                    for distinct_irr in (False, True):
+                        below = _brute_classes(form, p, 0, blocks, distinct_irr)
+                        for max_twist in (1, 2, 3):
+                            want = _brute_classes(
+                                form, p, max_twist, blocks, distinct_irr
+                            )
+                            res = enumerate_embeddings(
+                                form, dim, blocks, p, max_twist, distinct_irr
+                            )
+                            assert (res.count, res.growth_flag) == (
+                                len(want), len(want) > len(below)
+                            ), (form, blocks, p, max_twist, distinct_irr)
+                            assert _class_strings(res) == want
+                            below = want
+                            queries += 1
+    assert queries == 2070
+
+
+def test_branch_weights_count_multiplicity_vectors():
+    """Each (flag union, ways) entry counts the multiplicity vectors over
+    the group's atoms with total k and that union of used flags."""
+    for flag_counts in product(range(3), repeat=4):
+        if sum(flag_counts) > 4:
+            continue
+        atom_flags = [f for f, c in enumerate(flag_counts) for _ in range(c)]
+        for lone_ok, distinct_irr in ((True, False), (False, False), (True, True)):
+            for k in range(5):
+                want = Counter()
+                for vector in product(range(k + 1), repeat=len(atom_flags)):
+                    if sum(vector) != k:
+                        continue
+                    if distinct_irr and max(vector, default=0) > 1:
+                        continue
+                    if not lone_ok and any(m % 2 for m in vector):
+                        continue
+                    union = 0
+                    for f, m in zip(atom_flags, vector):
+                        if m:
+                            union |= f
+                    want[union] += 1
+                got = _branch_weights(flag_counts, lone_ok, distinct_irr, k)
+                assert dict(got) == dict(want), (flag_counts, lone_ok, distinct_irr, k)
+                assert all(ways for _, ways in got)
