@@ -44,7 +44,9 @@ belongs to one query and is freed with its result.
 The listing is lazy: EnumerationResult.classes walks the same memo on
 first read and enters only branches whose count is nonzero: at a group
 it expands the concrete atom assignments of K copies once per K and
-follows those whose flag union F leads to a nonzero count.  It builds
+follows those whose flag union F leads to a nonzero count.  One Irr and
+one Doubled per atom are shared by every class of the listing, so each
+summand's order key and text are computed once.  It builds and formats
 each class's descriptor once, in canonical form:
 
   * the minimum twist over all factors of all nontrivial summands is 0;
@@ -81,6 +83,7 @@ from .sl2modules import (
     IrreducibleFactor,
     ModuleDescriptor,
     Trivial,
+    _summand_key,
     format_descriptor,
 )
 
@@ -101,32 +104,27 @@ class EmbeddingClass:
 
     descriptor: ModuleDescriptor
 
+    def __post_init__(self):
+        object.__setattr__(self, "text", format_descriptor(self.descriptor))
+
     @property
     def max_twist(self) -> int:
-        twists = [
-            f.twist
-            for s in self.descriptor.summands
-            if isinstance(s, (Irr, Doubled))
-            for f in s.module.factors
-        ]
-        return max(twists, default=0)
+        keys = [_summand_key(s, self.descriptor.p) for s in self.descriptor.summands]
+        return max((t for k in keys for t in k[3][2]), default=0)
 
     def sort_key(self):
-        dims = []
-        weights = []
-        twists = []
+        """Negated summand dimensions, then all weights, then all twists
+        (read from the summand keys), then the text."""
+        dims, weights, twists = [], [], []
         for s in self.descriptor.summands:
-            if isinstance(s, (Irr, Doubled)):
-                dims.append(-s.module.dimension * (2 if isinstance(s, Doubled) else 1))
-                weights.extend(f.weight for f in s.module.factors)
-                twists.extend(f.twist for f in s.module.factors)
-            else:
-                dims.append(-s.multiplicity)
-        return (tuple(dims), tuple(weights), tuple(twists),
-                format_descriptor(self.descriptor))
+            _, dim, _, (_, w, t) = _summand_key(s, self.descriptor.p)
+            dims.append(dim)
+            weights += w
+            twists += t
+        return tuple(dims), tuple(weights), tuple(twists), self.text
 
     def __str__(self) -> str:
-        return format_descriptor(self.descriptor)
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -150,13 +148,14 @@ class EnumerationResult:
 
 
 def _embedding_class(multiplicities, trivial: int, p: int) -> EmbeddingClass:
-    """The class with these (irreducible, multiplicity) pairs, already
-    shifted to least twist 0, plus `trivial` trivial summands."""
+    """The class with these ((Irr, Doubled) of one irreducible,
+    multiplicity) pairs, already shifted to least twist 0, plus `trivial`
+    trivial summands."""
     summands: list = []
-    for module, mult in multiplicities:
-        summands.extend([Doubled(module)] * (mult // 2))
+    for (irr, doubled), mult in multiplicities:
+        summands.extend([doubled] * (mult // 2))
         if mult % 2:
-            summands.append(Irr(module))
+            summands.append(irr)
     if trivial:
         summands.append(Trivial(trivial))
     return EmbeddingClass(ModuleDescriptor(tuple(summands), p))
@@ -184,7 +183,8 @@ def canonicalize(d: ModuleDescriptor) -> EmbeddingClass:
             multiplicities = Counter(
                 {m.shifted(-shift): k for m, k in multiplicities.items()}
             )
-    return _embedding_class(multiplicities.items(), trivial, d.p)
+    pairs = (((Irr(m), Doubled(m)), k) for m, k in multiplicities.items())
+    return _embedding_class(pairs, trivial, d.p)
 
 
 def _weight_tuples(p: int, max_twist: int, max_dim: int):
@@ -272,27 +272,16 @@ def jordan_menu(
     """
     if max_dim < 1:
         raise InvalidQueryError("max_dim must be >= 1")
-    seen = set()
     out = []
-
-    def grow(weights, dim):
-        for w in range(weights[-1] if weights else 1, p):
-            d = dim * (w + 1)
-            if d > max_dim:
-                break
-            grow(weights + [w], d)
-            key = tuple(weights + [w])
-            if key in seen:
-                continue
-            seen.add(key)
-            desc = IrreducibleDescriptor(
-                tuple(IrreducibleFactor(w_, i) for i, w_ in enumerate(key))
-            )
-            if form is not FormType.NONE and desc.form_type() is not form:
-                continue
+    # at most log2(max_dim) < max_dim.bit_length() factors fit
+    for weights in _weight_tuples(p, max_dim.bit_length(), max_dim):
+        if list(weights) != sorted(weights):
+            continue
+        desc = IrreducibleDescriptor(
+            tuple(map(IrreducibleFactor, weights, range(len(weights))))
+        )
+        if form is FormType.NONE or desc.form_type() is form:
             out.append((desc, desc.jordan_type(p)))
-
-    grow([], 1)
     out.sort(key=lambda item: item[0].sort_key())
     return out
 
@@ -437,6 +426,13 @@ class _Search:
         memo = self.memo
         out = []
         chosen: list = []
+        shared: dict = {}  # (group, atom index) -> (Irr, Doubled), one per listing
+
+        def summands(j, a):
+            if (j, a) not in shared:
+                atom = self.groups[j].atoms[a]
+                shared[j, a] = Irr(atom), Doubled(atom)
+            return shared[j, a]
 
         def walk(i, rem, flags):
             # some completion of (i, rem, flags) has the twist-0 flag
@@ -466,7 +462,7 @@ class _Search:
                                 union |= group.atom_flags[a]
                             if union in live:
                                 chosen.extend(
-                                    (group.atoms[a], m) for a, m in assignment
+                                    (summands(j, a), m) for a, m in assignment
                                 )
                                 walk(j + 1, r, flags | union)
                                 del chosen[-len(assignment):]

@@ -22,6 +22,11 @@ The string grammar (whitespace insignificant):
 A fixed unipotent element with entries in the prime field is Frobenius-
 stable, so twists never change Jordan types; they do change isomorphism
 classes of modules, which is what the enumeration cares about.
+
+Irr and Doubled compute their canonical-order key and text once, on
+construction, outside equality and hashing; an enumeration listing shares
+one of each per atom.  Nothing is cached on IrreducibleDescriptor, whose
+pool atoms the enumerator's lru_cache keeps alive for the whole process.
 """
 
 from __future__ import annotations
@@ -129,14 +134,28 @@ class IrreducibleDescriptor:
         )
 
 
+def _cache_key_and_text(s: Irr | Doubled, copies: int) -> None:
+    """Store the _summand_key and the text of an Irr (copies 1) or a
+    Doubled (copies 2) on it; see the module docstring."""
+    inner = s.module.sort_key()
+    object.__setattr__(s, "key", (False, -copies * inner[0], copies - 1, inner))
+    object.__setattr__(s, "text", "2*" * (copies - 1) + _format_irr(s.module))
+
+
 @dataclass(frozen=True)
 class Irr:
     module: IrreducibleDescriptor
+
+    def __post_init__(self):
+        _cache_key_and_text(self, 1)
 
 
 @dataclass(frozen=True)
 class Doubled:
     module: IrreducibleDescriptor
+
+    def __post_init__(self):
+        _cache_key_and_text(self, 2)
 
 
 @dataclass(frozen=True)
@@ -156,14 +175,12 @@ class Trivial:
 
 Summand = Irr | Doubled | Weyl | Tilting | Trivial
 
-_KIND_RANK = {Irr: 0, Doubled: 1, Weyl: 2, Tilting: 3, Trivial: 4}
+_KIND_RANK = {Weyl: 2, Tilting: 3, Trivial: 4}  # Irr 0, Doubled 1
 
 
 def summand_dimension(s: Summand, p: int) -> int:
-    if isinstance(s, Irr):
-        return s.module.dimension
-    if isinstance(s, Doubled):
-        return 2 * s.module.dimension
+    if isinstance(s, (Irr, Doubled)):
+        return -s.key[1]
     if isinstance(s, Weyl):
         return s.weight + 1
     if isinstance(s, Tilting):
@@ -173,17 +190,9 @@ def summand_dimension(s: Summand, p: int) -> int:
 
 def _summand_key(s: Summand, p: int):
     if isinstance(s, (Irr, Doubled)):
-        inner = s.module.sort_key()
-    elif isinstance(s, Trivial):
-        inner = (0, (), ())
-    else:
-        inner = (s.weight, (), ())
-    return (
-        isinstance(s, Trivial),
-        -summand_dimension(s, p),
-        _KIND_RANK[type(s)],
-        inner,
-    )
+        return s.key
+    inner = (0, (), ()) if isinstance(s, Trivial) else (s.weight, (), ())
+    return (isinstance(s, Trivial), -summand_dimension(s, p), _KIND_RANK[type(s)], inner)
 
 
 @dataclass(frozen=True)
@@ -407,19 +416,14 @@ def parse_descriptor(text: str, p: int) -> ModuleDescriptor:
 
 
 def _format_irr(m: IrreducibleDescriptor) -> str:
-    parts = []
-    for f in m.factors:
-        parts.append(f"L({f.weight})" + (f"@{f.twist}" if f.twist else ""))
-    return "*".join(parts)
+    return "*".join(f"L({f.weight})" + (f"@{f.twist}" if f.twist else "") for f in m.factors)
 
 
 def format_descriptor(d: ModuleDescriptor) -> str:
     out = []
     for s in d.summands:
-        if isinstance(s, Irr):
-            out.append(_format_irr(s.module))
-        elif isinstance(s, Doubled):
-            out.append("2*" + _format_irr(s.module))
+        if isinstance(s, (Irr, Doubled)):
+            out.append(s.text)
         elif isinstance(s, Weyl):
             out.append(f"W({s.weight})")
         elif isinstance(s, Tilting):

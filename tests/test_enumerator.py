@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
@@ -25,6 +25,7 @@ from a1unicity.errors import (
 from a1unicity.ffmatrix import PrimeField
 from a1unicity.jordan import jordan_type_of_unipotent
 from a1unicity.sl2modules import (
+    Doubled,
     FormType,
     Irr,
     IrreducibleDescriptor,
@@ -254,6 +255,52 @@ def test_listing_agrees_with_count_and_growth():
                         assert admits_form(c.descriptor, form)
                 queries += 1
     assert queries > 1000
+
+
+def _reference_order_key(text, p):
+    """The listing order, computed from a freshly parsed descriptor:
+    negated summand dimensions, then all weights, then all twists, then
+    the text."""
+    d = parse_descriptor(text, p)
+    dims, weights, twists = [], [], []
+    for s in d.summands:
+        if isinstance(s, (Irr, Doubled)):
+            dims.append(-s.module.dimension * (2 if isinstance(s, Doubled) else 1))
+            weights.extend(f.weight for f in s.module.factors)
+            twists.extend(f.twist for f in s.module.factors)
+        else:
+            dims.append(-s.multiplicity)
+    return tuple(dims), tuple(weights), tuple(twists), format_descriptor(d)
+
+
+def test_listing_order_matches_an_independent_key():
+    queries = 0
+    for p in (3, 5, 7):
+        for dim in range(1, 9):
+            for blocks in partitions_bounded(dim, p):
+                for form in (FormType.NONE, FormType.SYMPLECTIC, FormType.ORTHOGONAL):
+                    for max_twist in (1, 2, 3):
+                        res = enumerate_embeddings(form, dim, blocks, p, max_twist)
+                        texts = [str(c) for c in res.classes]
+                        assert texts == sorted(
+                            texts, key=lambda t: _reference_order_key(t, p)
+                        ), (form, blocks, p, max_twist)
+                        queries += 1
+    assert queries == 1476
+
+
+def test_listing_shares_one_summand_object_per_atom():
+    """Every class of one listing that holds an irreducible as Irr (or as
+    Doubled) holds the same Irr (or Doubled) object."""
+    res = enumerate_embeddings(FormType.NONE, 12, (3, 3, 2, 2, 1, 1), 5, 4)
+    assert len(res.classes) == 1250
+    objects = defaultdict(set)
+    for c in res.classes:
+        for s in c.descriptor.summands:
+            if isinstance(s, (Irr, Doubled)):
+                objects[type(s), s.module].add(id(s))
+    assert {kind for kind, _ in objects} == {Irr, Doubled}
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_pool_size_counts_the_pool():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a1unicity.errors import (
     DescriptorParseError,
@@ -146,6 +147,79 @@ def test_trivials_merge_and_order_is_canonical():
     b = parse_descriptor("L(2)+3*triv", 5)
     assert a == b
     assert format_descriptor(a) == "L(2)+3*triv"
+
+
+# Scrambled input, p, canonical text.  Weyl and Tilting summands sit by
+# dimension among the irreducibles, the kind (Irr, Doubled, Weyl,
+# Tilting) breaks ties of dimension, and the merged trivials come last.
+_CANONICAL_TEXT = [
+    ("3*triv+W(6)+L(4)+T(5)+2*L(1)", 5, "T(5)+W(6)+L(4)+2*L(1)+3*triv"),
+    ("triv+T(8)+W(5)+L(1)*L(1)@1", 5, "T(8)+W(5)+L(1)*L(1)@1+triv"),
+    ("W(8)+W(5)+triv+2*L(2)", 5, "W(8)+2*L(2)+W(5)+triv"),
+    ("T(6)+W(7)+L(2)@3+triv+triv", 5, "T(6)+W(7)+L(2)@3+2*triv"),
+    ("5*triv+T(5)+L(1)", 5, "T(5)+L(1)+5*triv"),
+    ("W(5)+L(1)*L(2)@1", 5, "L(1)*L(2)@1+W(5)"),
+    ("T(2)+W(2)+L(1)+2*L(1)@1+triv", 2, "2*L(1)@1+T(2)+W(2)+L(1)+triv"),
+    ("W(3)+L(2)+W(4)+2*L(1)+T(3)", 3, "T(3)+W(4)+2*L(1)+W(3)+L(2)"),
+    ("L(6)+T(12)+2*L(3)@2+W(7)+4*triv", 7, "T(12)+2*L(3)@2+W(7)+L(6)+4*triv"),
+    ("2*L(1)@2+L(3)+L(1)*L(1)@1", 7, "L(1)*L(1)@1+L(3)+2*L(1)@2"),
+    ("W(13)+L(12)+T(24)+L(1)*L(5)@2*L(2)@4+2*L(3)", 13,
+     "L(1)*L(5)@2*L(2)@4+T(24)+W(13)+L(12)+2*L(3)"),
+]
+
+
+def test_canonical_text_table():
+    for text, p, canonical in _CANONICAL_TEXT:
+        d = parse_descriptor(text, p)
+        assert format_descriptor(d) == canonical
+        assert parse_descriptor(canonical, p) == d
+
+
+@st.composite
+def _irreducibles(draw, p):
+    twists = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, p - 1), min_size=len(twists),
+                            max_size=len(twists)))
+    return IrreducibleDescriptor(tuple(map(IrreducibleFactor, weights, twists)))
+
+
+@st.composite
+def _summand_lists(draw):
+    """A prime and a list of summands of all five kinds, unsorted and
+    with unmerged trivials."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    summand = st.one_of(
+        st.builds(Irr, _irreducibles(p)),
+        st.builds(Doubled, _irreducibles(p)),
+        st.builds(Weyl, st.integers(p, 2 * p - 2)),
+        st.builds(Tilting, st.integers(p, 2 * p - 2)),
+        st.builds(Trivial, st.integers(1, 12)),
+    )
+    return p, draw(st.lists(summand, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_summand_lists(), st.data())
+def test_descriptor_grammar_round_trips(drawn, data):
+    """The text of a descriptor parses back to it and is a fixed point;
+    summand order and inserted whitespace change neither."""
+    p, summands = drawn
+    d = ModuleDescriptor(tuple(summands), p)
+    text = format_descriptor(d)
+    assert parse_descriptor(text, p) == d
+    assert format_descriptor(parse_descriptor(text, p)) == text
+    for order in (summands, d.summands):
+        permuted = ModuleDescriptor(tuple(data.draw(st.permutations(order))), p)
+        assert permuted == d and hash(permuted) == hash(d)
+        assert format_descriptor(permuted) == text
+    blanks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(text)), st.sampled_from([" ", "\t", "\n", "  "])),
+        max_size=8,
+    ))
+    spaced = text
+    for at, blank in sorted(blanks, reverse=True):
+        spaced = spaced[:at] + blank + spaced[at:]
+    assert parse_descriptor(spaced, p) == d
 
 
 def test_twist_shift_leaves_jordan_type_fixed():
