@@ -4,7 +4,9 @@
 For every valid partition with blocks below p on the chosen groups, run
 the completely reducible enumeration and compare against the classifier.
 Prints one row per partition and a summary; disagreements (none are
-expected) are flagged loudly.
+expected) are flagged loudly.  Sp and SO run up to --max-dim; SL dimensions
+stop at 8 whatever --max-dim is.  The comparison is the one the
+classifier-vs-enumeration suite of `a1u selfcheck` makes.
 
 Usage: python scripts/rederive_classical.py [--p 5] [--max-dim 10]
 """
@@ -12,11 +14,9 @@ Usage: python scripts/rederive_classical.py [--p 5] [--max-dim 10]
 import argparse
 import sys
 
-from a1unicity.classical import Partition, SL, SO, Sp, VerdictKind, unicity_verdict, validate
-from a1unicity.enumerator import partitions_bounded, enumerate_embeddings
-from a1unicity.errors import ValidationError
+from a1unicity.classical import SL, SO, Sp
 from a1unicity.jordan import jnotation
-from a1unicity.sl2modules import FormType
+from a1unicity.selfcheck import agrees, classifier_vs_enumeration
 
 
 def main() -> int:
@@ -26,37 +26,24 @@ def main() -> int:
     parser.add_argument("--max-twist", type=int, default=3)
     args = parser.parse_args()
 
-    setups = [
-        (SL, range(2, min(args.max_dim, 8) + 1), FormType.NONE),
-        (Sp, range(4, args.max_dim + 1, 2), FormType.SYMPLECTIC),
-        (SO, range(7, args.max_dim + 1), FormType.ORTHOGONAL),
-    ]
+    dims = {
+        SL: range(2, min(args.max_dim, 8) + 1),
+        Sp: range(4, args.max_dim + 1, 2),
+        SO: range(7, args.max_dim + 1),
+    }
     disagreements = 0
     total = 0
-    for make, dims, form in setups:
-        for dim in dims:
-            g = make(dim)
-            for blocks in partitions_bounded(dim, args.p - 1):
-                if blocks[0] < 2:
-                    continue
-                part = Partition(blocks)
-                try:
-                    validate(g, part, args.p)
-                except ValidationError:
-                    continue
-                res = enumerate_embeddings(form, dim, part, args.p, args.max_twist)
-                stable_unique = res.count == 1 and not res.growth_flag
-                v = unicity_verdict(g, part, args.p)
-                agree = (v.kind is VerdictKind.UNIQUE) == stable_unique
-                total += 1
-                disagreements += not agree
-                marker = "" if agree else "   <-- DISAGREEMENT"
-                growth = "+growth" if res.growth_flag else "stable"
-                print(
-                    f"{str(g):8s} {jnotation(blocks):18s} "
-                    f"classifier={v.kind.value:9s} classes={res.count:3d} "
-                    f"({growth}){marker}"
-                )
+    for g, part, v, res in classifier_vs_enumeration(args.p, dims, args.max_twist):
+        agree = agrees(v, res)
+        total += 1
+        disagreements += not agree
+        marker = "" if agree else "   <-- DISAGREEMENT"
+        growth = "+growth" if res.growth_flag else "stable"
+        print(
+            f"{str(g):8s} {jnotation(part.parts):18s} "
+            f"classifier={v.kind.value:9s} classes={res.count:3d} "
+            f"({growth}){marker}"
+        )
     print(
         f"\n{total} partitions checked at p = {args.p}; "
         f"{disagreements} disagreement(s)"

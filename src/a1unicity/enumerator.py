@@ -68,7 +68,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, prod
 from typing import Callable, NamedTuple
 
@@ -320,18 +320,16 @@ def _branch_weights(flag_counts, lone_ok: bool, distinct_irr: bool, k: int):
 
 def _assignments(atoms: int, lone_ok: bool, distinct_irr: bool, k: int):
     """The (atom index, multiplicity) lists, indices ascending, that
-    _spread counts for k copies over this many atoms."""
+    _spread counts for k copies over this many atoms; without a lone
+    copy the atoms are picked in pairs, so each multiplicity doubles."""
     if distinct_irr:
-        picks = combinations(range(atoms), k)
+        picks, copies = combinations(range(atoms), k), 1
     elif lone_ok:
-        picks = combinations_with_replacement(range(atoms), k)
+        picks, copies = combinations_with_replacement(range(atoms), k), 1
     else:
-        picks = (
-            pairs + pairs
-            for pairs in combinations_with_replacement(range(atoms), k // 2)
-        )
+        picks, copies = combinations_with_replacement(range(atoms), k // 2), 2
     for pick in picks:
-        yield sorted(Counter(pick).items())
+        yield [(a, copies * len(list(run))) for a, run in groupby(pick)]
 
 
 class _Group(NamedTuple):

@@ -2,7 +2,9 @@
 
 Each suite re-derives a family of results two independent ways (closed
 form vs. matrix oracle, classifier vs. enumeration, table vs. frozen
-expectations) and reports pass/fail.  `a1u selfcheck` runs them all.
+expectations) and returns (ok, detail).  `a1u selfcheck` runs them all,
+the acceptance tests call them, and the frozen tables here are the only
+copies.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from itertools import combinations_with_replacement
 
 from . import atlas
 from .classical import (
+    Family,
     Partition,
     SL,
     SO,
@@ -45,27 +48,22 @@ from .sl2modules import (
     realize,
 )
 
-# Jordan types of the irreducible orthogonal menu, frozen by hand;
-# dimension -> (weights, blocks).  The p = 5 menu omits the last two rows.
+# The irreducible orthogonal menu up to dimension 14, frozen by hand:
+# weights -> (dimension, blocks).  A menu at p holds the rows whose
+# weights are all below p, so the p = 5 menu omits the last two.
 ORTHOGONAL_MENU_EXPECTED = {
-    5: {
-        ((2,), (3,)),
-        ((1, 1), (3, 1)),
-        ((4,), (5,)),
-        ((1, 3), (5, 3)),
-        ((2, 2), (5, 3, 1)),
-        ((1, 1, 2), (5, 3, 3, 1)),
-    },
-    7: {
-        ((2,), (3,)),
-        ((1, 1), (3, 1)),
-        ((4,), (5,)),
-        ((6,), (7,)),
-        ((1, 3), (5, 3)),
-        ((2, 2), (5, 3, 1)),
-        ((1, 1, 2), (5, 3, 3, 1)),
-        ((1, 5), (7, 5)),
-    },
+    (2,): (3, (3,)),
+    (1, 1): (4, (3, 1)),
+    (4,): (5, (5,)),
+    (1, 3): (8, (5, 3)),
+    (2, 2): (9, (5, 3, 1)),
+    (1, 1, 2): (12, (5, 3, 3, 1)),
+    (6,): (7, (7,)),
+    (1, 5): (12, (7, 5)),
+}
+
+_FORM = {
+    Family.SL: FormType.NONE, Family.SP: FormType.SYMPLECTIC, Family.SO: FormType.ORTHOGONAL,
 }
 
 # Partition menus for sums of pairwise inequivalent orthogonal
@@ -129,8 +127,7 @@ def check_pair_profiles():
                 t = tensor_pair(m, n, p)
                 count, sizes = summand_profile(t)
                 if (m, n) == (2, 2):
-                    want = (3, 1) if p != 2 else (2, 2)
-                    if t.blocks != want:
+                    if t.blocks != (3, 1):
                         return False, f"J(2)xJ(2) mod {p} gave {t.blocks}"
                     continue
                 if (m, n) == (2, p):
@@ -150,7 +147,7 @@ def check_multi_profiles():
                 count, _ = summand_profile(tensor_multi(sizes, p))
                 if count < 3:
                     return False, f"{sizes} mod {p}"
-    known = {2: (2, 2, 2, 2), 3: (3, 3, 2), 5: (4, 2, 2)}
+    known = {2: (2, 2, 2, 2), 3: (3, 3, 2), 5: (4, 2, 2), 7: (4, 2, 2)}
     for p, want in known.items():
         got = tensor_multi([2, 2, 2], p).blocks
         if got != want:
@@ -178,10 +175,12 @@ def check_module_facts():
 
 def check_orthogonal_menu():
     """The orthogonal irreducible menu matches the frozen table."""
-    for p, expected in ORTHOGONAL_MENU_EXPECTED.items():
+    for p in (5, 7):
+        expected = {w: row for w, row in ORTHOGONAL_MENU_EXPECTED.items() if max(w) < p}
         menu = jordan_menu(FormType.ORTHOGONAL, p, 14)
         got = {
-            (tuple(f.weight for f in desc.factors), jt.blocks) for desc, jt in menu
+            tuple(f.weight for f in desc.factors): (desc.dimension, jt.blocks)
+            for desc, jt in menu
         }
         if got != expected:
             return False, f"menu mismatch at p = {p}: {sorted(got)}"
@@ -198,60 +197,62 @@ def check_dn_lists():
     return True, "n in 4..7, p in (5, 7)"
 
 
-def _validish_partitions(group, p):
-    out = []
-    for blocks in partitions_bounded(group.dimension, p - 1):
-        if blocks[0] < 2:
-            continue
-        part = Partition(blocks)
-        try:
-            validate(group, part, p)
-        except ValidationError:
-            continue
-        out.append(part)
-    return out
+def classifier_vs_enumeration(p: int, dims, max_twist: int = 3):
+    """Yield (group, partition, verdict, enumeration result) for every
+    valid partition with all blocks below p.  dims maps a group
+    constructor (SL, Sp or SO) to the dimensions to visit, in its order.
+    Each result holds its search memo, so the results are not kept."""
+    for make, family_dims in dims.items():
+        for dim in family_dims:
+            g = make(dim)
+            for blocks in partitions_bounded(dim, p - 1):
+                if blocks[0] < 2:
+                    continue
+                part = Partition(blocks)
+                try:
+                    validate(g, part, p)
+                except ValidationError:
+                    continue
+                result = enumerate_embeddings(_FORM[g.family], dim, part, p, max_twist)
+                yield g, part, unicity_verdict(g, part, p), result
+
+
+def agrees(verdict, result) -> bool:
+    """The classifier says Unique when the enumeration finds exactly one
+    stable class, and NonUnique otherwise."""
+    stable_unique = result.count == 1 and not result.growth_flag
+    return verdict.kind is (VerdictKind.UNIQUE if stable_unique else VerdictKind.NON_UNIQUE)
 
 
 def check_classifier_vs_enumeration(quick: bool = False):
     """Classifier verdict Unique iff exactly one stable enumeration class,
-    for every valid partition with all blocks below p."""
+    and NonUnique otherwise, for every valid partition with all blocks
+    below p."""
     if quick:
         primes = (5, 7)
-        ranges = {"SL": range(2, 7), "Sp": range(4, 9, 2), "SO": range(7, 10)}
+        dims = {SL: range(2, 7), Sp: range(4, 9, 2), SO: range(7, 10)}
     else:
         primes = (5, 7, 11, 13)
-        ranges = {"SL": range(2, 13), "Sp": range(4, 17, 2), "SO": range(7, 16)}
+        dims = {SL: range(2, 13), Sp: range(4, 17, 2), SO: range(7, 16)}
     cases = 0
     for p in primes:
-        for family, dims, form in (
-            ("SL", ranges["SL"], FormType.NONE),
-            ("Sp", ranges["Sp"], FormType.SYMPLECTIC),
-            ("SO", ranges["SO"], FormType.ORTHOGONAL),
-        ):
-            make = {"SL": SL, "Sp": Sp, "SO": SO}[family]
-            for dim in dims:
-                g = make(dim)
-                for part in _validish_partitions(g, p):
-                    res = enumerate_embeddings(form, dim, part, p, 3)
-                    unique = res.count == 1 and not res.growth_flag
-                    verdict = unicity_verdict(g, part, p)
-                    if (verdict.kind is VerdictKind.UNIQUE) != unique:
-                        return False, (
-                            f"{g} blocks ({part}) p = {p}: classifier "
-                            f"{verdict.kind.value}, enumeration count {res.count} "
-                            f"growth {res.growth_flag}"
-                        )
-                    cases += 1
+        for g, part, verdict, res in classifier_vs_enumeration(p, dims):
+            if not agrees(verdict, res):
+                return False, (
+                    f"{g} blocks ({part}) p = {p}: classifier "
+                    f"{verdict.kind.value}, enumeration count {res.count} "
+                    f"growth {res.growth_flag}"
+                )
+            cases += 1
     return True, f"{cases} partition queries agree"
 
 
 def check_witness_soundness():
     """Witness pairs share dimension and Jordan type, respect the ambient
     form and survive the matrix oracle."""
-    field_form = {"SL": FormType.NONE, "Sp": FormType.SYMPLECTIC, "SO": FormType.ORTHOGONAL}
     cases = []
     for p in (5, 7):
-        for r in (1, 2, 3, 4):
+        for r in (1, 2, 3, 4, 5):
             cases.append((SL(p + r), Partition((p,) + (1,) * r), p))
             cases.append((SL(3 + r), Partition((3,) + (1,) * r), p))
             if 3 + r >= 7:
@@ -271,7 +272,7 @@ def check_witness_soundness():
             return False, f"missing witnesses for {g} ({part}) p = {p}"
         if first == second:
             return False, f"degenerate witness pair for {g} ({part})"
-        form = field_form[g.family.value]
+        form = _FORM[g.family]
         for d in (first, second):
             if dimension(d) != g.dimension:
                 return False, f"dimension off for {g} ({part})"

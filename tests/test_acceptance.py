@@ -2,52 +2,28 @@
 
 Every expected value is either a definition-level fact, a value frozen
 from an independent derivation (matrix oracle, exhaustive search), or a
-hand-typed table this suite diffs the shipped data against.  A PASS line
-is printed per criterion so `pytest -s` doubles as a report.
+hand-typed table this suite diffs the shipped data against.  Criteria
+1-5, 7 and 8 run the matching `a1u selfcheck` suite and pin its detail
+line; criteria 6 and 9 keep their own derivations against the frozen
+tables in `a1unicity.selfcheck`.  A PASS line is printed per criterion
+so `pytest -s` doubles as a report.
 """
 
 import io
 import json
 import subprocess
 import sys
-from itertools import combinations_with_replacement
 
-
-from a1unicity import atlas
-from a1unicity.classical import (
-    Partition,
-    SL,
-    SO,
-    Sp,
-    VerdictKind,
-    unicity_verdict,
-    validate,
-    witnesses,
-)
+from a1unicity import atlas, selfcheck
 from a1unicity.cli import run
-from a1unicity.enumerator import (
-    partitions_bounded,
-    enumerate_embeddings,
-    jordan_menu,
-)
-from a1unicity.ffmatrix import PrimeField, sym_power, unipotent_jordan_block
-from a1unicity.jordan import (
-    jordan_type_of_unipotent,
-    summand_profile,
-    tensor_multi,
-    tensor_pair,
-    tensor_pair_oracle,
-)
+from a1unicity.enumerator import partitions_bounded, enumerate_embeddings
 from a1unicity.sl2modules import (
     FormType,
     ModuleDescriptor,
-    Tilting,
     Trivial,
-    admits_form,
     dimension,
     form_type,
     jordan_type,
-    realize,
 )
 
 
@@ -55,139 +31,45 @@ def _report(name, detail):
     print(f"PASS  {name}: {detail}")
 
 
+def _passes(name, check, detail):
+    """The selfcheck suite passes with this frozen detail line."""
+    assert check() == (True, detail)
+    _report(name, detail)
+
+
 def test_criterion_01_tensor_fast_path_equals_matrix_oracle():
-    primes = (2, 3, 5, 7, 11, 13)
-    pairs = 0
-    for p in primes:
-        for m in range(1, p + 1):
-            for n in range(m, p + 1):
-                fast = tensor_pair(m, n, p)
-                assert fast == tensor_pair_oracle(m, n, p), (m, n, p)
-                assert fast.dimension == m * n
-                assert fast == tensor_pair(n, m, p)
-                assert all(1 <= b <= p for b in fast.blocks)
-                pairs += 1
-    _report(
-        "criterion 1 (tensor fast path == oracle)",
-        f"{pairs} pairs over p in {primes}",
-    )
+    detail = "exhaustive over p in (2, 3, 5, 7, 11, 13)"
+    _passes("criterion 1 (tensor fast path == oracle)", selfcheck.check_tensor_oracle, detail)
 
 
 def test_criterion_02_two_factor_profile_trichotomy():
-    checked = 0
-    for p in (3, 5, 7, 11, 13):
-        for m in range(2, p + 1):
-            for n in range(m, p + 1):
-                t = tensor_pair(m, n, p)
-                if (m, n) == (2, 2):
-                    assert t.blocks == (3, 1), p
-                elif (m, n) == (2, p):
-                    assert t.blocks == (p, p), p
-                else:
-                    count, sizes = summand_profile(t)
-                    assert count >= 3 or (count == 2 and len(sizes) == 2), (m, n, p)
-                checked += 1
-    _report("criterion 2 (two-factor profiles)", f"{checked} products")
+    detail = "all pairs, p in (3, 5, 7, 11, 13)"
+    _passes("criterion 2 (two-factor profiles)", selfcheck.check_pair_profiles, detail)
 
 
 def test_criterion_03_multi_factor_products_have_three_summands():
-    checked = 0
-    for p in (3, 5, 7):
-        for t_len in (3, 4):
-            for sizes in combinations_with_replacement(range(2, p + 1), t_len):
-                count, _ = summand_profile(tensor_multi(sizes, p))
-                assert count >= 3, (sizes, p)
-                checked += 1
-    assert tensor_multi([2, 2, 2], 2).blocks == (2, 2, 2, 2)
-    assert tensor_multi([2, 2, 2], 3).blocks == (3, 3, 2)
-    for p in (5, 7):
-        assert tensor_multi([2, 2, 2], p).blocks == (4, 2, 2)
-    _report("criterion 3 (multi-factor products)", f"{checked} products")
+    detail = "t in (3, 4), p in (3, 5, 7)"
+    _passes("criterion 3 (multi-factor products)", selfcheck.check_multi_profiles, detail)
 
 
 def test_criterion_04_symmetric_power_and_tilting_block_structure():
-    checked = 0
-    for p in (5, 7):
-        field = PrimeField(p)
-        u = unipotent_jordan_block(field, 2)
-        for c in range(0, p):
-            got = jordan_type_of_unipotent(sym_power(u, c, field), field)
-            assert got.blocks == (c + 1,), (c, p)
-            checked += 1
-        for c in range(p, 2 * p - 1):
-            got = jordan_type_of_unipotent(sym_power(u, c, field), field)
-            assert got.blocks == tuple(sorted((p, c - p + 1), reverse=True)), (c, p)
-            d = ModuleDescriptor((Tilting(c),), p)
-            assert jordan_type(d).blocks == (p, p)
-            assert dimension(d) == 2 * p
-            checked += 1
-    _report("criterion 4 (module block structures)", f"{checked} weights, p in (5, 7)")
-
-
-# The orthogonal irreducible menu up to dimension 14, frozen by hand:
-# weight multiset -> (dimension, blocks).  The p = 5 menu omits the two
-# entries that need weight 5 or 6.
-_MENU_ROWS = {
-    (2,): (3, (3,)),
-    (1, 1): (4, (3, 1)),
-    (4,): (5, (5,)),
-    (6,): (7, (7,)),
-    (1, 3): (8, (5, 3)),
-    (2, 2): (9, (5, 3, 1)),
-    (1, 1, 2): (12, (5, 3, 3, 1)),
-    (1, 5): (12, (7, 5)),
-}
-_MENU_P5_ABSENT = {(6,), (1, 5)}
+    detail = "p in (5, 7), c <= 2p-2"
+    _passes("criterion 4 (module block structures)", selfcheck.check_module_facts, detail)
 
 
 def test_criterion_05_orthogonal_menu_matches_frozen_table():
+    detail = "p in (5, 7), dim <= 14"
+    _passes("criterion 5 (orthogonal menu)", selfcheck.check_orthogonal_menu, detail)
+    # the trivial line is carried by the Trivial kind, not the menu
     for p in (5, 7):
-        expected = {
-            weights: data
-            for weights, data in _MENU_ROWS.items()
-            if p == 7 or weights not in _MENU_P5_ABSENT
-        }
-        menu = jordan_menu(FormType.ORTHOGONAL, p, 14)
-        got = {
-            tuple(f.weight for f in desc.factors): (desc.dimension, jt.blocks)
-            for desc, jt in menu
-        }
-        assert got == expected, p
-        # the trivial line is carried by the Trivial kind, not the menu
         triv = ModuleDescriptor((Trivial(1),), p)
         assert dimension(triv) == 1
         assert jordan_type(triv).blocks == (1,)
         assert form_type(triv) is FormType.ORTHOGONAL
-    _report(
-        "criterion 5 (orthogonal menu)",
-        f"{len(_MENU_ROWS)} rows at p = 7, {len(_MENU_ROWS) - 2} at p = 5, "
-        "plus the trivial line",
-    )
-
-
-# Partition menus for orthogonal sums of pairwise inequivalent
-# irreducibles on the natural module of SO(2n), frozen by hand.
-_DN_LISTS = {
-    (4, 5): {(5, 3), (3, 3, 1, 1)},
-    (4, 7): {(7, 1), (5, 3), (3, 3, 1, 1)},
-    (5, 5): {(5, 5), (5, 3, 1, 1), (3, 3, 3, 1)},
-    (5, 7): {(7, 3), (5, 5), (5, 3, 1, 1), (3, 3, 3, 1)},
-    (6, 5): {(5, 3, 3, 1), (3, 3, 3, 1, 1, 1), (3, 3, 3, 3)},
-    (6, 7): {(7, 5), (7, 3, 1, 1), (5, 3, 3, 1), (3, 3, 3, 1, 1, 1), (3, 3, 3, 3)},
-    (7, 5): {(5, 5, 3, 1), (5, 3, 3, 3), (5, 3, 3, 1, 1, 1), (3, 3, 3, 3, 1, 1)},
-    (7, 7): {
-        (7, 7),
-        (7, 3, 3, 1),
-        (5, 5, 3, 1),
-        (5, 3, 3, 3),
-        (5, 3, 3, 1, 1, 1),
-        (3, 3, 3, 3, 1, 1),
-    },
-}
 
 
 def test_criterion_06_distinct_orthogonal_sum_partition_menus():
-    for (n, p), expected in _DN_LISTS.items():
+    for (n, p), expected in selfcheck.DN_EXPECTED.items():
         achieved = set()
         for blocks in partitions_bounded(2 * n, p):
             res = enumerate_embeddings(
@@ -204,67 +86,14 @@ def test_criterion_06_distinct_orthogonal_sum_partition_menus():
     _report("criterion 6 (distinct-sum partition menus)", "n in 4..7, p in (5, 7)")
 
 
-def _valid_partitions(group, p):
-    out = []
-    for blocks in partitions_bounded(group.dimension, p - 1):
-        if blocks[0] < 2:
-            continue
-        part = Partition(blocks)
-        try:
-            validate(group, part, p)
-        except Exception:
-            continue
-        out.append(part)
-    return out
-
-
 def test_criterion_07_classifier_matches_enumeration():
-    cases = 0
-    for p in (5, 7):
-        for make, dims, form in (
-            (SL, range(2, 9), FormType.NONE),
-            (Sp, range(4, 13, 2), FormType.SYMPLECTIC),
-            (SO, range(7, 13), FormType.ORTHOGONAL),
-        ):
-            for dim in dims:
-                g = make(dim)
-                for part in _valid_partitions(g, p):
-                    res = enumerate_embeddings(form, dim, part, p, 3)
-                    stable_unique = res.count == 1 and not res.growth_flag
-                    v = unicity_verdict(g, part, p)
-                    assert v.kind in (VerdictKind.UNIQUE, VerdictKind.NON_UNIQUE)
-                    assert (v.kind is VerdictKind.UNIQUE) == stable_unique, (
-                        str(g), part.parts, p, res.count, res.growth_flag,
-                    )
-                    cases += 1
-    _report("criterion 7 (classifier == enumeration)", f"{cases} partitions agree")
+    check = selfcheck.check_classifier_vs_enumeration
+    _passes("criterion 7 (classifier == enumeration)", check, "2340 partition queries agree")
 
 
 def test_criterion_08_witness_pairs_are_sound():
-    form_of = {"SL": FormType.NONE, "Sp": FormType.SYMPLECTIC, "SO": FormType.ORTHOGONAL}
-    cases = []
-    for p in (5, 7):
-        for r in (1, 2, 3, 4, 5):
-            cases.append((SL(p + r), Partition((p,) + (1,) * r), p))
-            cases.append((SL(3 + r), Partition((3,) + (1,) * r), p))
-            if 3 + r >= 7:
-                cases.append((SO(3 + r), Partition((3,) + (1,) * r), p))
-        for r in (0, 2, 4):
-            cases.append((Sp(2 * p + r), Partition((p, p) + (1,) * r), p))
-            if r:
-                cases.append((Sp(6 + r), Partition((3, 3) + (1,) * r), p))
-    for g, part, p in cases:
-        v = unicity_verdict(g, part, p)
-        assert v.kind is VerdictKind.NON_UNIQUE, (str(g), part.parts, p)
-        first, second = witnesses(g, part, p)
-        assert first != second
-        field = PrimeField(p)
-        for d in (first, second):
-            assert dimension(d) == g.dimension
-            assert jordan_type(d).blocks == part.parts
-            assert admits_form(d, form_of[g.family.value])
-            assert jordan_type_of_unipotent(realize(d), field).blocks == part.parts
-    _report("criterion 8 (witness soundness)", f"{len(cases)} pairs, oracle-verified")
+    detail = "34 witness pairs verified"
+    _passes("criterion 8 (witness soundness)", selfcheck.check_witness_soundness, detail)
 
 
 # Prime-dependent unique rows hand-typed for the diff against the
@@ -288,20 +117,6 @@ _ALWAYS_UNIQUE = {
     "E6": {"A1", "A3", "D4"},
     "E7": {"A1", "A3", "D4"},
     "E8": {"A1", "A3", "D4"},
-}
-
-_LARGE_P_LISTS = {
-    "G2": {"A1", "Ã1", "G2"},
-    "F4": {"A1", "Ã2", "B2", "B3", "C3", "F4(a1)", "F4"},
-    "E6": {"A1", "A3", "D4", "A5", "D5", "E6(a1)", "E6"},
-    "E7": {
-        "A1", "A3", "D4", "(A5)''", "(A5)'", "D5", "A6", "D6",
-        "E6(a1)", "E6", "E7(a1)", "E7",
-    },
-    "E8": {
-        "A1", "A3", "D4", "A5", "D5", "E6(a1)", "D6", "E6", "A7", "D7",
-        "E7(a1)", "E7", "E8(a4)", "E8(a2)", "E8(a1)", "E8",
-    },
 }
 
 _CURATED_NONUNIQUE = {
@@ -346,13 +161,13 @@ def test_criterion_09_exceptional_atlas_fidelity():
                 assert atlas.verdict(g, p, label).kind is atlas.AtlasVerdictKind.UNIQUE
                 checks += 1
     threshold = {"G2": 5, "F4": 5, "E6": 7, "E7": 11, "E8": 11}
-    for name in _LARGE_P_LISTS:
+    for (name, large), expected in selfcheck.PROP_LISTS.items():
         g = atlas.group(name)
-        assert atlas.verdict(g, 13, g.regular_label).kind is (
+        assert atlas.verdict(g, large, g.regular_label).kind is (
             atlas.AtlasVerdictKind.UNIQUE
         )
-        for p in (threshold[name], 13):
-            assert atlas.list_unique(g, p) == _LARGE_P_LISTS[name], (name, p)
+        for p in (threshold[name], large):
+            assert atlas.list_unique(g, p) == expected, (name, p)
             checks += 1
     for (name, p), labels in _CURATED_NONUNIQUE.items():
         g = atlas.group(name)
@@ -361,7 +176,7 @@ def test_criterion_09_exceptional_atlas_fidelity():
                 atlas.AtlasVerdictKind.NON_UNIQUE
             ), (name, p, label)
             checks += 1
-    for name in _LARGE_P_LISTS:
+    for name in threshold:
         g = atlas.group(name)
         goods = [p for p in (5, 7, 11, 13) if g.is_good(p)]
         for small, large in zip(goods, goods[1:]):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from a1unicity import cli, sl2modules
+from a1unicity import cli, selfcheck, sl2modules
 from a1unicity.cli import run
 from a1unicity.enumerator import canonicalize
 from a1unicity.sl2modules import parse_descriptor
@@ -287,6 +287,21 @@ def test_selfcheck_quick():
     assert code == 0
     assert "all checks passed" in text
     assert text.count("PASS") == 9
+
+
+def test_selfcheck_reports_a_failed_suite_and_exits_one(monkeypatch):
+    """`a1u selfcheck` prints what run_selfcheck emits: one failing suite
+    gives its FAIL line, the other suites still run, and the exit is 1."""
+    suites = list(selfcheck.SUITES)
+    name, _, _ = suites[4]
+    suites[4] = (name, lambda: (False, "x"), False)
+    monkeypatch.setattr(selfcheck, "SUITES", suites)
+    code, text = capture(["selfcheck", "--quick"])
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[4] == f"FAIL  {name}: x"
+    assert lines[-1] == "CHECKS FAILED"
+    assert text.count("PASS") == 8
 
 
 def test_json_repeatability_in_process():

@@ -1,5 +1,7 @@
-"""The scripts under scripts/ run and verify even with assertions off."""
+"""The scripts under scripts/ and `a1u selfcheck` run and verify even
+with assertions off."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,14 @@ from pathlib import Path
 import pytest
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run_optimized(argv):
+    proc = subprocess.run(
+        [sys.executable, "-O", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -20,9 +30,20 @@ _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ],
 )
 def test_script_runs_under_optimize(argv, last_line):
-    proc = subprocess.run(
-        [sys.executable, "-O", str(_SCRIPTS / argv[0]), *argv[1:]],
-        capture_output=True, text=True, timeout=60,
+    stdout = _run_optimized([str(_SCRIPTS / argv[0]), *argv[1:]])
+    assert stdout.splitlines()[-1] == last_line
+
+
+def test_rederive_stdout_is_pinned():
+    stdout = _run_optimized(
+        [str(_SCRIPTS / "rederive_classical.py"), "--p", "5", "--max-dim", "6"]
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == last_line
+    assert stdout.count("\n") == 31
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "a7f8f63dfc3f7fd45ce58b5c3b016207e1af8135441f38d69735698bddc64969"
+    )
+
+
+def test_selfcheck_verifies_under_optimize():
+    stdout = _run_optimized(["-m", "a1unicity", "selfcheck", "--quick"])
+    assert stdout.splitlines()[-1] == "all checks passed"
