@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from .errors import BadPrimeError, UnknownLabelError
+from .errors import BadPrimeError, UnknownLabelError, VerdictKind
 from .ffmatrix import is_prime
 
 
@@ -78,16 +78,9 @@ def group(name: str) -> ExceptionalGroup:
         raise UnknownLabelError(f"unknown exceptional group {name!r}") from None
 
 
-class AtlasVerdictKind(str, Enum):
-    UNIQUE = "Unique"
-    NON_UNIQUE = "NonUnique"
-    BAD_PRIME = "BadPrime"
-    UNKNOWN_LABEL = "UnknownLabel"
-
-
 @dataclass(frozen=True)
 class AtlasVerdict:
-    kind: AtlasVerdictKind
+    kind: VerdictKind
     note: str | None = None
 
 
@@ -179,30 +172,28 @@ def verdict(g: ExceptionalGroup, p: int, label: str) -> AtlasVerdict:
     labels, unique_rows, _ = _tables()
     if not g.is_good(p):
         return AtlasVerdict(
-            AtlasVerdictKind.BAD_PRIME,
+            VerdictKind.BAD_PRIME,
             note=f"p = {p} is not a good prime for {g}",
         )
     name = normalize_label(label)
     if name not in labels[g.type]:
         return AtlasVerdict(
-            AtlasVerdictKind.UNKNOWN_LABEL,
+            VerdictKind.UNKNOWN_LABEL,
             note=f"{label!r} is not a class label of {g}",
         )
+    hit = any(
+        gt is g.type and label_ == name and _match_condition(cond, p)
+        for gt, cond, label_ in unique_rows
+    )
     if name == g.regular_label:
         h = g.coxeter_number
         note = (
             f"regular class: elements have order p iff p >= {h}"
             + ("" if p >= h else f"; p = {p} < {h}, so the order-p hypothesis fails")
         )
-        return AtlasVerdict(AtlasVerdictKind.UNIQUE, note=note)
-    hit = any(
-        gt is g.type and label_ == name and _match_condition(cond, p)
-        for gt, cond, label_ in unique_rows
-    )
-    note = "assumes the class has elements of order exactly p (not verified here)"
-    if hit:
-        return AtlasVerdict(AtlasVerdictKind.UNIQUE, note=note)
-    return AtlasVerdict(AtlasVerdictKind.NON_UNIQUE, note=note)
+    else:
+        note = "assumes the class has elements of order exactly p (not verified here)"
+    return AtlasVerdict(VerdictKind.UNIQUE if hit else VerdictKind.NON_UNIQUE, note=note)
 
 
 def list_unique(g: ExceptionalGroup, p: int) -> frozenset[str]:
@@ -212,5 +203,5 @@ def list_unique(g: ExceptionalGroup, p: int) -> frozenset[str]:
     return frozenset(
         label
         for label in known_labels(g)
-        if verdict(g, p, label).kind is AtlasVerdictKind.UNIQUE
+        if verdict(g, p, label).kind is VerdictKind.UNIQUE
     )

@@ -35,6 +35,7 @@ from .errors import (
     InvalidQueryError,
     NoWitnessRuleError,
     ParityViolationError,
+    VerdictKind,
 )
 from .ffmatrix import is_prime
 from .sl2modules import (
@@ -112,12 +113,6 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.parts)
-
-
-class VerdictKind(str, Enum):
-    UNIQUE = "Unique"
-    NON_UNIQUE = "NonUnique"
-    OUT_OF_SCOPE = "OutOfScope"
 
 
 @dataclass(frozen=True)
@@ -234,55 +229,35 @@ def witnesses(
     hook = _hook(partition)
     dbl = _doubled_hook(partition)
 
-    def irr(*factors) -> Irr:
-        return Irr(IrreducibleDescriptor(tuple(IrreducibleFactor(w, a) for w, a in factors)))
+    def irr(*factors, kind=Irr):
+        """An Irr (or, with kind=Doubled, a Doubled) of the tensor product
+        of L(w)^{F^a} over the (w, a) factors."""
+        return kind(IrreducibleDescriptor(tuple(IrreducibleFactor(w, a) for w, a in factors)))
+
+    def triv(r):
+        return (Trivial(r),) if r > 0 else ()
 
     if group.family is Family.SL and hook and hook[0] == p and hook[1] > 0:
         r = hook[1]
-        first = ModuleDescriptor((irr((p - 1, 0)), Trivial(r)), p)
-        rest = (Trivial(r - 1),) if r > 1 else ()
-        second = ModuleDescriptor((Weyl(p),) + rest, p)
-        return first, second
-    if (
-        group.family in (Family.SL, Family.SO)
-        and hook
-        and hook[0] == 3
-        and hook[1] > 0
-    ):
+        first = (irr((p - 1, 0)), Trivial(r))
+        second = (Weyl(p),) + triv(r - 1)
+    elif group.family in (Family.SL, Family.SO) and hook and hook[0] == 3 and hook[1] > 0:
         r = hook[1]
-        first = ModuleDescriptor((irr((2, 0)), Trivial(r)), p)
-        rest = (Trivial(r - 1),) if r > 1 else ()
-        second = ModuleDescriptor((irr((1, 0), (1, 1)),) + rest, p)
-        return first, second
-    if group.family is Family.SP and dbl and dbl[0] == p:
+        first = (irr((2, 0)), Trivial(r))
+        second = (irr((1, 0), (1, 1)),) + triv(r - 1)
+    elif group.family is Family.SP and dbl and dbl[0] == p:
         r = dbl[1]
-        rest = (Trivial(r),) if r else ()
-        first = ModuleDescriptor(
-            (Doubled(IrreducibleDescriptor((IrreducibleFactor(p - 1, 0),))),) + rest, p
-        )
-        second = ModuleDescriptor((irr((1, 0), (p - 1, 1)),) + rest, p)
-        return first, second
-    if group.family is Family.SP and dbl and dbl[0] == 3 and dbl[1] > 0:
+        first = (irr((p - 1, 0), kind=Doubled),) + triv(r)
+        second = (irr((1, 0), (p - 1, 1)),) + triv(r)
+    elif group.family is Family.SP and dbl and dbl[0] == 3 and dbl[1] > 0:
         r = dbl[1]
-        first = ModuleDescriptor(
-            (Doubled(IrreducibleDescriptor((IrreducibleFactor(2, 0),))), Trivial(r)), p
+        first = (irr((2, 0), kind=Doubled), Trivial(r))
+        second = (irr((1, 0), (1, 1), kind=Doubled),) + triv(r - 2)
+    else:
+        raise NoWitnessRuleError(
+            f"no explicit witness construction for {group} with blocks ({partition})"
         )
-        rest = (Trivial(r - 2),) if r > 2 else ()
-        second = ModuleDescriptor(
-            (
-                Doubled(
-                    IrreducibleDescriptor(
-                        (IrreducibleFactor(1, 0), IrreducibleFactor(1, 1))
-                    )
-                ),
-            )
-            + rest,
-            p,
-        )
-        return first, second
-    raise NoWitnessRuleError(
-        f"no explicit witness construction for {group} with blocks ({partition})"
-    )
+    return ModuleDescriptor(first, p), ModuleDescriptor(second, p)
 
 
 def unicity_verdict(group: GroupFamily, partition: Partition, p: int) -> Verdict:

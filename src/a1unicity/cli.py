@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import atlas, selfcheck
@@ -214,8 +215,7 @@ def _cmd_classify_exceptional(args, out) -> int:
     if v.note:
         human.append(f"  note: {v.note}")
     _emit(payload, args.json, human, out)
-    bad = (atlas.AtlasVerdictKind.BAD_PRIME, atlas.AtlasVerdictKind.UNKNOWN_LABEL)
-    return 1 if v.kind in bad else 0
+    return 1 if v.kind in (VerdictKind.BAD_PRIME, VerdictKind.UNKNOWN_LABEL) else 0
 
 
 def _cmd_enumerate(args, out) -> int:
@@ -379,7 +379,15 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; point stdout at devnull so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

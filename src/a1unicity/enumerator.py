@@ -83,7 +83,6 @@ from .sl2modules import (
     IrreducibleFactor,
     ModuleDescriptor,
     Trivial,
-    _summand_key,
     format_descriptor,
 )
 
@@ -109,7 +108,7 @@ class EmbeddingClass:
 
     @property
     def max_twist(self) -> int:
-        keys = [_summand_key(s, self.descriptor.p) for s in self.descriptor.summands]
+        keys = [s.sort_key(self.descriptor.p) for s in self.descriptor.summands]
         return max((t for k in keys for t in k[3][2]), default=0)
 
     def sort_key(self):
@@ -117,7 +116,7 @@ class EmbeddingClass:
         (read from the summand keys), then the text."""
         dims, weights, twists = [], [], []
         for s in self.descriptor.summands:
-            _, dim, _, (_, w, t) = _summand_key(s, self.descriptor.p)
+            _, dim, _, (_, w, t) = s.sort_key(self.descriptor.p)
             dims.append(dim)
             weights += w
             twists += t
@@ -171,12 +170,10 @@ def canonicalize(d: ModuleDescriptor) -> EmbeddingClass:
     multiplicities: Counter[IrreducibleDescriptor] = Counter()
     trivial = 0
     for s in d.summands:
-        if isinstance(s, Irr):
-            multiplicities[s.module] += 1
-        elif isinstance(s, Doubled):
-            multiplicities[s.module] += 2
-        else:
+        if isinstance(s, Trivial):
             trivial += s.multiplicity
+        else:
+            multiplicities[s.module] += s.copies
     if multiplicities:
         shift = min(m.min_twist for m in multiplicities)
         if shift:

@@ -1,8 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types and the verdict kinds shared across the package.
 
 Every domain failure derives from DomainError so the CLI can map it to a
 single exit code; usage mistakes (malformed flags) are left to argparse.
+VerdictKind lives here because both the classical classifier and the
+exceptional atlas answer with it, and neither should load the other.
 """
+
+from enum import Enum
+
+
+class VerdictKind(str, Enum):
+    UNIQUE = "Unique"
+    NON_UNIQUE = "NonUnique"
+    OUT_OF_SCOPE = "OutOfScope"
+    BAD_PRIME = "BadPrime"
+    UNKNOWN_LABEL = "UnknownLabel"
 
 
 class DomainError(Exception):

@@ -23,10 +23,17 @@ A fixed unipotent element with entries in the prime field is Frobenius-
 stable, so twists never change Jordan types; they do change isomorphism
 classes of modules, which is what the enumeration cares about.
 
-Irr and Doubled compute their canonical-order key and text once, on
-construction, outside equality and hashing; an enumeration listing shares
-one of each per atom.  Nothing is cached on IrreducibleDescriptor, whose
-pool atoms the enumerator's lru_cache keeps alive for the whole process.
+Each summand kind holds its own facts as methods (dimension, blocks,
+sort_key, check, admits, text, check_realizable, matrices), and the
+module-level functions fold them over the summands, so a new kind is one
+class.  Every sort_key is (is trivial, -dimension, kind rank, (dimension
+or weight, weights, twists)), ranking Irr, Doubled, Weyl, Tilting and
+Trivial 0 to 4.  Irr and Doubled share _IrrCopies and differ only in
+copies; they compute their key and text once, on construction, outside
+equality and hashing, and an enumeration listing shares one of each per
+atom.  Weyl and Tilting share _HighWeight.  Nothing is cached on
+IrreducibleDescriptor, whose pool atoms the enumerator's lru_cache keeps
+alive for the whole process.
 """
 
 from __future__ import annotations
@@ -103,10 +110,6 @@ class IrreducibleDescriptor:
         return d
 
     @property
-    def weight_sum(self) -> int:
-        return sum(f.weight for f in self.factors)
-
-    @property
     def min_twist(self) -> int:
         return self.factors[0].twist
 
@@ -121,7 +124,8 @@ class IrreducibleDescriptor:
 
     def form_type(self) -> FormType:
         """Symplectic iff the total highest weight is odd (p odd)."""
-        return FormType.SYMPLECTIC if self.weight_sum % 2 else FormType.ORTHOGONAL
+        odd = sum(f.weight for f in self.factors) % 2
+        return FormType.SYMPLECTIC if odd else FormType.ORTHOGONAL
 
     def jordan_type(self, p: int) -> JordanType:
         return tensor_multi([f.weight + 1 for f in self.factors], p)
@@ -134,65 +138,148 @@ class IrreducibleDescriptor:
         )
 
 
-def _cache_key_and_text(s: Irr | Doubled, copies: int) -> None:
-    """Store the _summand_key and the text of an Irr (copies 1) or a
-    Doubled (copies 2) on it; see the module docstring."""
-    inner = s.module.sort_key()
-    object.__setattr__(s, "key", (False, -copies * inner[0], copies - 1, inner))
-    object.__setattr__(s, "text", "2*" * (copies - 1) + _format_irr(s.module))
-
-
 @dataclass(frozen=True)
-class Irr:
+class _IrrCopies:
+    """Irr (copies = 1) or Doubled (copies = 2) of one irreducible."""
+
     module: IrreducibleDescriptor
 
     def __post_init__(self):
-        _cache_key_and_text(self, 1)
+        inner = self.module.sort_key()
+        copies = self.copies
+        object.__setattr__(self, "key", (False, -copies * inner[0], copies - 1, inner))
+        object.__setattr__(self, "text", "2*" * (copies - 1) + _format_irr(self.module))
+
+    def dimension(self, p: int) -> int:
+        return -self.key[1]  # the key leads with the negated dimension
+
+    def blocks(self, p: int) -> tuple[int, ...]:
+        return self.module.jordan_type(p).blocks * self.copies
+
+    def sort_key(self, p: int):
+        return self.key
+
+    def check(self, p: int) -> None:
+        for f in self.module.factors:
+            if not 1 <= f.weight <= p - 1:
+                raise WeightError(f"weight {f.weight} is not restricted for p = {p}")
+
+    def admits(self, form: FormType) -> bool:
+        # a hyperbolic pair carries both a symplectic and an orthogonal form
+        return self.copies == 2 or self.module.form_type() is form
+
+    def check_realizable(self, p: int) -> None:
+        ffmatrix._check_int64_exact(1, p)
+
+    def matrices(self, u, field) -> list:
+        factors = self.module.factors
+        out = ffmatrix.sym_power(u, factors[0].weight, field)
+        for f in factors[1:]:
+            out = ffmatrix.kronecker(out, ffmatrix.sym_power(u, f.weight, field), field)
+        return [out] * self.copies
 
 
 @dataclass(frozen=True)
-class Doubled:
-    module: IrreducibleDescriptor
-
-    def __post_init__(self):
-        _cache_key_and_text(self, 2)
+class Irr(_IrrCopies):
+    copies = 1
 
 
 @dataclass(frozen=True)
-class Weyl:
+class Doubled(_IrrCopies):
+    copies = 2
+
+
+@dataclass(frozen=True)
+class _HighWeight:
+    """Weyl(c) or Tilting(c), highest weight c in [p, 2p-2]."""
+
     weight: int
 
+    def dimension(self, p: int) -> int:
+        return sum(self.blocks(p))
+
+    def check(self, p: int) -> None:
+        if not p <= self.weight <= 2 * p - 2:
+            raise WeightError(
+                f"weight {self.weight} outside [p, 2p-2] = [{p}, {2 * p - 2}]"
+            )
+
+    def admits(self, form: FormType) -> bool:
+        # parity of the highest weight, as for irreducibles.  These forms
+        # need not split off non-degenerately; only witness checking
+        # consults them, never the enumeration.
+        return form is (FormType.SYMPLECTIC if self.weight % 2 else FormType.ORTHOGONAL)
+
+    def sort_key(self, p: int):
+        return (False, -self.dimension(p), self.rank, (self.weight, (), ()))
+
+    @property
+    def text(self) -> str:
+        return f"{self.letter}({self.weight})"
+
 
 @dataclass(frozen=True)
-class Tilting:
-    weight: int
+class Weyl(_HighWeight):
+    rank, letter = 2, "W"
+
+    def blocks(self, p: int) -> tuple[int, ...]:
+        return (p, self.weight - p + 1)
+
+    def check_realizable(self, p: int) -> None:
+        ffmatrix._check_int64_exact(1, p)
+
+    def matrices(self, u, field) -> list:
+        return [ffmatrix.sym_power(u, self.weight, field)]
+
+
+@dataclass(frozen=True)
+class Tilting(_HighWeight):
+    rank, letter = 3, "T"
+
+    def blocks(self, p: int) -> tuple[int, ...]:
+        return (p, p)
+
+    def check_realizable(self, p: int) -> None:
+        raise NotRealizableError(
+            f"T({self.weight}) carries only its Jordan type (p, p); "
+            "no matrix model is built"
+        )
 
 
 @dataclass(frozen=True)
 class Trivial:
     multiplicity: int
 
+    def dimension(self, p: int) -> int:
+        return self.multiplicity
+
+    def blocks(self, p: int) -> tuple[int, ...]:
+        return (1,) * self.multiplicity
+
+    def sort_key(self, p: int):
+        return (True, -self.multiplicity, 4, (0, (), ()))
+
+    def check(self, p: int) -> None:
+        if self.multiplicity < 1:
+            raise WeightError("trivial multiplicity must be >= 1")
+
+    def admits(self, form: FormType) -> bool:
+        # single trivial summands are quadratic spaces; a symplectic form
+        # needs them in pairs
+        return form is FormType.ORTHOGONAL or self.multiplicity % 2 == 0
+
+    @property
+    def text(self) -> str:
+        return "triv" if self.multiplicity == 1 else f"{self.multiplicity}*triv"
+
+    def check_realizable(self, p: int) -> None:
+        pass
+
+    def matrices(self, u, field) -> list:
+        return [ffmatrix.identity(self.multiplicity)]
+
 
 Summand = Irr | Doubled | Weyl | Tilting | Trivial
-
-_KIND_RANK = {Weyl: 2, Tilting: 3, Trivial: 4}  # Irr 0, Doubled 1
-
-
-def summand_dimension(s: Summand, p: int) -> int:
-    if isinstance(s, (Irr, Doubled)):
-        return -s.key[1]
-    if isinstance(s, Weyl):
-        return s.weight + 1
-    if isinstance(s, Tilting):
-        return 2 * p
-    return s.multiplicity
-
-
-def _summand_key(s: Summand, p: int):
-    if isinstance(s, (Irr, Doubled)):
-        return s.key
-    inner = (0, (), ()) if isinstance(s, Trivial) else (s.weight, (), ())
-    return (isinstance(s, Trivial), -summand_dimension(s, p), _KIND_RANK[type(s)], inner)
 
 
 @dataclass(frozen=True)
@@ -213,39 +300,23 @@ class ModuleDescriptor:
         merged: list[Summand] = []
         trivial = 0
         for s in self.summands:
+            s.check(self.p)
             if isinstance(s, Trivial):
-                if s.multiplicity < 1:
-                    raise WeightError("trivial multiplicity must be >= 1")
                 trivial += s.multiplicity
             else:
-                self._check_summand(s)
                 merged.append(s)
         if trivial:
             merged.append(Trivial(trivial))
-        merged.sort(key=lambda s: _summand_key(s, self.p))
+        merged.sort(key=lambda s: s.sort_key(self.p))
         object.__setattr__(self, "summands", tuple(merged))
-
-    def _check_summand(self, s: Summand):
-        if isinstance(s, (Irr, Doubled)):
-            for f in s.module.factors:
-                if not 1 <= f.weight <= self.p - 1:
-                    raise WeightError(
-                        f"weight {f.weight} is not restricted for p = {self.p}"
-                    )
-        elif isinstance(s, (Weyl, Tilting)):
-            if not self.p <= s.weight <= 2 * self.p - 2:
-                raise WeightError(
-                    f"weight {s.weight} outside [p, 2p-2] = "
-                    f"[{self.p}, {2 * self.p - 2}]"
-                )
 
     @property
     def is_completely_reducible(self) -> bool:
-        return not any(isinstance(s, (Weyl, Tilting)) for s in self.summands)
+        return not any(isinstance(s, _HighWeight) for s in self.summands)
 
 
 def dimension(d: ModuleDescriptor) -> int:
-    return sum(summand_dimension(s, d.p) for s in d.summands)
+    return sum(s.dimension(d.p) for s in d.summands)
 
 
 def jordan_type(d: ModuleDescriptor) -> JordanType:
@@ -254,43 +325,12 @@ def jordan_type(d: ModuleDescriptor) -> JordanType:
     Twists are invisible here: the element has prime-field entries, so
     each Frobenius power acts on it as the identity.
     """
-    blocks: list[int] = []
-    for s in d.summands:
-        if isinstance(s, Irr):
-            blocks.extend(s.module.jordan_type(d.p).blocks)
-        elif isinstance(s, Doubled):
-            blocks.extend(s.module.jordan_type(d.p).blocks * 2)
-        elif isinstance(s, Weyl):
-            blocks.extend((d.p, s.weight - d.p + 1))
-        elif isinstance(s, Tilting):
-            blocks.extend((d.p, d.p))
-        else:
-            blocks.extend([1] * s.multiplicity)
-    return JordanType(tuple(blocks), d.p)
-
-
-def _summand_admits(s: Summand, form: FormType) -> bool:
-    if form is FormType.NONE:
-        return True
-    if isinstance(s, Irr):
-        return s.module.form_type() is form
-    if isinstance(s, Doubled):
-        # hyperbolic pair: carries both a symplectic and an orthogonal form
-        return True
-    if isinstance(s, Trivial):
-        # single trivial summands are quadratic spaces; a symplectic form
-        # needs them in pairs
-        return form is FormType.ORTHOGONAL or s.multiplicity % 2 == 0
-    # Weyl/Tilting: parity of the highest weight, as for irreducibles.
-    # These forms need not split off non-degenerately; only witness
-    # checking consults them, never the enumeration.
-    parity = FormType.SYMPLECTIC if s.weight % 2 else FormType.ORTHOGONAL
-    return parity is form
+    return JordanType(tuple(b for s in d.summands for b in s.blocks(d.p)), d.p)
 
 
 def admits_form(d: ModuleDescriptor, form: FormType) -> bool:
     """True if every summand is admissible for the ambient form."""
-    return all(_summand_admits(s, form) for s in d.summands)
+    return form is FormType.NONE or all(s.admits(form) for s in d.summands)
 
 
 def form_type(d: ModuleDescriptor) -> FormType:
@@ -325,13 +365,7 @@ def check_realizable(d: ModuleDescriptor) -> None:
             f"{ffmatrix.MAX_DIMENSION}"
         )
     for s in d.summands:
-        if isinstance(s, Tilting):
-            raise NotRealizableError(
-                f"T({s.weight}) carries only its Jordan type (p, p); "
-                "no matrix model is built"
-            )
-    if not all(isinstance(s, Trivial) for s in d.summands):
-        ffmatrix._check_int64_exact(1, d.p)
+        s.check_realizable(d.p)
 
 
 def realize(d: ModuleDescriptor) -> np.ndarray:
@@ -345,24 +379,7 @@ def realize(d: ModuleDescriptor) -> np.ndarray:
     check_realizable(d)
     field = PrimeField(d.p)
     u = ffmatrix.unipotent_jordan_block(field, 2)
-
-    def irr_matrix(m: IrreducibleDescriptor) -> np.ndarray:
-        out = ffmatrix.sym_power(u, m.factors[0].weight, field)
-        for f in m.factors[1:]:
-            out = ffmatrix.kronecker(out, ffmatrix.sym_power(u, f.weight, field), field)
-        return out
-
-    blocks = []
-    for s in d.summands:
-        if isinstance(s, Irr):
-            blocks.append(irr_matrix(s.module))
-        elif isinstance(s, Doubled):
-            m = irr_matrix(s.module)
-            blocks.extend((m, m))
-        elif isinstance(s, Weyl):
-            blocks.append(ffmatrix.sym_power(u, s.weight, field))
-        else:
-            blocks.append(ffmatrix.identity(s.multiplicity))
+    blocks = [m for s in d.summands for m in s.matrices(u, field)]
     return ffmatrix.block_diagonal(blocks, field)
 
 
@@ -420,14 +437,4 @@ def _format_irr(m: IrreducibleDescriptor) -> str:
 
 
 def format_descriptor(d: ModuleDescriptor) -> str:
-    out = []
-    for s in d.summands:
-        if isinstance(s, (Irr, Doubled)):
-            out.append(s.text)
-        elif isinstance(s, Weyl):
-            out.append(f"W({s.weight})")
-        elif isinstance(s, Tilting):
-            out.append(f"T({s.weight})")
-        else:
-            out.append("triv" if s.multiplicity == 1 else f"{s.multiplicity}*triv")
-    return "+".join(out)
+    return "+".join(s.text for s in d.summands)

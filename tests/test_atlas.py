@@ -1,40 +1,39 @@
 import pytest
 
-from a1unicity import atlas
-from a1unicity.atlas import AtlasVerdictKind, group, known_labels, list_unique, verdict
-from a1unicity.errors import BadPrimeError, UnknownLabelError
+from a1unicity.atlas import group, known_labels, list_unique, verdict
+from a1unicity.errors import BadPrimeError, UnknownLabelError, VerdictKind
 
 
 def test_stated_verdicts():
-    assert verdict(group("E7"), 7, "A6").kind is AtlasVerdictKind.NON_UNIQUE
-    assert verdict(group("E8"), 11, "A7").kind is AtlasVerdictKind.UNIQUE
-    assert verdict(group("G2"), 5, "Ã1").kind is AtlasVerdictKind.UNIQUE
-    assert verdict(group("E6"), 5, "A2").kind is AtlasVerdictKind.NON_UNIQUE
-    assert verdict(group("E8"), 5, "A1").kind is AtlasVerdictKind.BAD_PRIME
+    assert verdict(group("E7"), 7, "A6").kind is VerdictKind.NON_UNIQUE
+    assert verdict(group("E8"), 11, "A7").kind is VerdictKind.UNIQUE
+    assert verdict(group("G2"), 5, "Ã1").kind is VerdictKind.UNIQUE
+    assert verdict(group("E6"), 5, "A2").kind is VerdictKind.NON_UNIQUE
+    assert verdict(group("E8"), 5, "A1").kind is VerdictKind.BAD_PRIME
 
 
 def test_label_normalization():
-    assert verdict(group("G2"), 5, "~A1").kind is AtlasVerdictKind.UNIQUE
-    assert verdict(group("E7"), 7, "A5'").kind is AtlasVerdictKind.UNIQUE
-    assert verdict(group("E7"), 7, "(A5)''").kind is AtlasVerdictKind.UNIQUE
-    assert verdict(group("E7"), 7, " A 6 ").kind is AtlasVerdictKind.NON_UNIQUE
+    assert verdict(group("G2"), 5, "~A1").kind is VerdictKind.UNIQUE
+    assert verdict(group("E7"), 7, "A5'").kind is VerdictKind.UNIQUE
+    assert verdict(group("E7"), 7, "(A5)''").kind is VerdictKind.UNIQUE
+    assert verdict(group("E7"), 7, " A 6 ").kind is VerdictKind.NON_UNIQUE
 
 
 def test_unknown_labels_never_guess():
-    assert verdict(group("G2"), 5, "A3").kind is AtlasVerdictKind.UNKNOWN_LABEL
-    assert verdict(group("F4"), 5, "D4").kind is AtlasVerdictKind.UNKNOWN_LABEL
-    assert verdict(group("E8"), 7, "E9(a1)").kind is AtlasVerdictKind.UNKNOWN_LABEL
+    assert verdict(group("G2"), 5, "A3").kind is VerdictKind.UNKNOWN_LABEL
+    assert verdict(group("F4"), 5, "D4").kind is VerdictKind.UNKNOWN_LABEL
+    assert verdict(group("E8"), 7, "E9(a1)").kind is VerdictKind.UNKNOWN_LABEL
     with pytest.raises(UnknownLabelError):
         group("E9")
 
 
 def test_bad_primes():
     for name, bad in (("G2", 3), ("F4", 2), ("E6", 3), ("E7", 2), ("E8", 5)):
-        assert verdict(group(name), bad, "A1").kind is AtlasVerdictKind.BAD_PRIME
+        assert verdict(group(name), bad, "A1").kind is VerdictKind.BAD_PRIME
     with pytest.raises(BadPrimeError):
         list_unique(group("E8"), 5)
     # non-prime characteristics are rejected the same way
-    assert verdict(group("E6"), 9, "A1").kind is AtlasVerdictKind.BAD_PRIME
+    assert verdict(group("E6"), 9, "A1").kind is VerdictKind.BAD_PRIME
 
 
 def test_list_unique_stated_sets():
@@ -49,10 +48,10 @@ def test_list_unique_stated_sets():
 
 def test_regular_class_order_note():
     v = verdict(group("E7"), 5, "E7")
-    assert v.kind is AtlasVerdictKind.UNIQUE
+    assert v.kind is VerdictKind.UNIQUE
     assert "18" in v.note and "fails" in v.note
     v = verdict(group("G2"), 7, "G2")
-    assert v.kind is AtlasVerdictKind.UNIQUE
+    assert v.kind is VerdictKind.UNIQUE
     assert "fails" not in v.note
 
 
@@ -74,22 +73,3 @@ def test_nesting_across_good_primes():
         for small, large in zip(goods, goods[1:]):
             assert list_unique(g, small) <= list_unique(g, large)
 
-
-def test_recorded_counterexamples_are_nonunique():
-    expected = {
-        ("E6", 5): {"A2", "A4", "D4(a1)"},
-        ("E8", 7): {
-            "A2", "A4", "D4(a1)", "D5(a1)", "A6", "E6(a3)", "D6(a2)",
-            "E7(a5)", "E8(a7)",
-        },
-        ("E7", 7): {
-            "A2", "A4", "D4(a1)", "D5(a1)", "D6(a2)", "E6(a3)", "E7(a5)", "A6",
-        },
-    }
-    for (name, p), labels in expected.items():
-        g = group(name)
-        assert labels <= atlas.recorded_nonunique(g, p)
-        for label in labels:
-            assert verdict(g, p, label).kind is AtlasVerdictKind.NON_UNIQUE, (
-                name, p, label,
-            )

@@ -156,6 +156,20 @@ def test_enumerate_listing_budget_exits_one():
     assert proc.stderr.count("\n") == 1 and "140955 classes" in proc.stderr
 
 
+def test_reader_closing_early_exits_one_without_traceback():
+    """The read end of stdout is closed before the child writes, so its
+    first flush meets a broken pipe."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from a1unicity.cli import main; main()",
+         "tensor", "-p", "7", "2,5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 def _assert_one_line_refusal(proc, error):
     assert proc.returncode == 1
     assert proc.stdout == ""

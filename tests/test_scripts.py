@@ -46,4 +46,15 @@ def test_rederive_stdout_is_pinned():
 
 def test_selfcheck_verifies_under_optimize():
     stdout = _run_optimized(["-m", "a1unicity", "selfcheck", "--quick"])
-    assert stdout.splitlines()[-1] == "all checks passed"
+    assert stdout == (
+        "PASS  tensor-oracle-equivalence: exhaustive over p in (2, 3, 5, 7)\n"
+        "PASS  two-factor-profiles: all pairs, p in (3, 5, 7, 11, 13)\n"
+        "PASS  multi-factor-profiles: t in (3, 4), p in (3, 5, 7)\n"
+        "PASS  module-facts: p in (5, 7), c <= 2p-2\n"
+        "PASS  orthogonal-menu: p in (5, 7), dim <= 14\n"
+        "PASS  distinct-sum-partition-menus: n in 4..7, p in (5, 7)\n"
+        "PASS  classifier-vs-enumeration: 124 partition queries agree\n"
+        "PASS  witness-soundness: 34 witness pairs verified\n"
+        "PASS  exceptional-atlas: tables, counterexamples and nesting\n"
+        "all checks passed\n"
+    )

@@ -253,19 +253,14 @@ def _all_descriptors(p, max_dim):
     atoms.extend(Weyl(c) for c in range(p, 2 * p - 1))
     atoms.append(Trivial(1))
 
-    def dim_of(s):
-        from a1unicity.sl2modules import summand_dimension
-
-        return summand_dimension(s, p)
-
-    atoms = [a for a in atoms if dim_of(a) <= max_dim]
+    atoms = [a for a in atoms if a.dimension(p) <= max_dim]
     out = []
 
     def rec(start, budget, acc):
         if acc:
             out.append(ModuleDescriptor(tuple(acc), p))
         for i in range(start, len(atoms)):
-            d = dim_of(atoms[i])
+            d = atoms[i].dimension(p)
             if d <= budget:
                 acc.append(atoms[i])
                 rec(i, budget - d, acc)
