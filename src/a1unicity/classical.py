@@ -16,6 +16,15 @@ Everything else meets non-conjugate overgroups; for the shapes
 (p, 1^r), (3, 1^r), (p, p, 1^r) and (3, 3, 1^r) an explicit witness
 pair of module structures is attached.
 
+The code decides from two facts.  A single block J(a) carries the
+family's form always in SL, for even a in Sp and for odd a in SO
+(`_carries_form`); blocks that do not carry it come in pairs, which is
+`validate`'s parity rule.  An order-p partition has the unicity shape
+when it is the hook (a, 1^r) with J(a) carrying the form, or else the
+doubled hook (a, a, 1^r).  It is Unique unless it is one of four
+exceptions, each with its witness pair (`_exception_pair`):
+SL (p, 1^r>=1); SL/SO (3, 1^r>=1); Sp (p, p, 1^r); Sp (3, 3, 1^r>=1).
+
 The doubled-hook exclusion at a = 3 parallels the hook exclusion: the
 four-dimensional twisted tensor module L(1)*L(1)@a has blocks (3, 1), so
 its doubling realizes (3, 3, 1^r) inside Sp whenever r >= 2, exactly as
@@ -35,6 +44,7 @@ from .errors import (
     InvalidQueryError,
     NoWitnessRuleError,
     ParityViolationError,
+    ValidationError,
     VerdictKind,
 )
 from .ffmatrix import is_prime
@@ -126,6 +136,11 @@ class Verdict:
 _MIN_DIM = {Family.SL: 2, Family.SP: 4, Family.SO: 7}
 
 
+def _carries_form(family: Family, size: int) -> bool:
+    """Does a single Jordan block J(size) carry the family's form?"""
+    return family is Family.SL or (size % 2 == 0) == (family is Family.SP)
+
+
 def validate(group: GroupFamily, partition: Partition, p: int) -> None:
     """Check that the partition names a nonidentity unipotent class of
     the group in characteristic p; raise a ValidationError subclass if
@@ -138,18 +153,12 @@ def validate(group: GroupFamily, partition: Partition, p: int) -> None:
         raise DimensionMismatchError(
             f"partition of {partition.n} vs natural module of dim {group.dimension}"
         )
-    if group.family is Family.SP:
-        for size in set(partition.parts):
-            if size % 2 == 1 and partition.multiplicity(size) % 2:
-                raise ParityViolationError(
-                    f"odd block size {size} occurs an odd number of times"
-                )
-    if group.family is Family.SO:
-        for size in set(partition.parts):
-            if size % 2 == 0 and partition.multiplicity(size) % 2:
-                raise ParityViolationError(
-                    f"even block size {size} occurs an odd number of times"
-                )
+    for size in set(partition.parts):
+        if not _carries_form(group.family, size) and partition.multiplicity(size) % 2:
+            raise ParityViolationError(
+                f"{'odd' if size % 2 else 'even'} block size {size} "
+                "occurs an odd number of times"
+            )
     if partition.parts[0] == 1:
         raise IdentityElementError("identity partition (1^n) is not classified")
 
@@ -159,75 +168,12 @@ def is_order_p(partition: Partition, p: int) -> bool:
     return 2 <= partition.parts[0] <= p
 
 
-def _hook(partition: Partition) -> tuple[int, int] | None:
-    """(l, r) if the partition is (l, 1^r) with l >= 2, else None."""
-    head = partition.parts[0]
-    rest = partition.parts[1:]
-    if head >= 2 and all(x == 1 for x in rest):
-        return head, len(rest)
-    return None
-
-
-def _doubled_hook(partition: Partition) -> tuple[int, int] | None:
-    """(a, r) if the partition is (a, a, 1^r) with a >= 2, else None."""
-    if len(partition.parts) < 2:
-        return None
-    a = partition.parts[0]
-    if a >= 2 and partition.parts[1] == a and all(
-        x == 1 for x in partition.parts[2:]
-    ):
-        return a, len(partition.parts) - 2
-    return None
-
-
-def reduction_shape(group: GroupFamily, partition: Partition, p: int) -> bool:
-    """Necessary shape for unicity in Sp/SO: hooks and doubled hooks with
-    the parity of the block size matching the form."""
-    if group.family is Family.SL:
-        raise InvalidQueryError("reduction shapes apply to Sp and SO only")
-    validate(group, partition, p)
-    hook = _hook(partition)
-    dbl = _doubled_hook(partition)
-    if group.family is Family.SP:
-        if hook and hook[0] % 2 == 0 and hook[0] < p:
-            return True
-        return bool(dbl and dbl[0] % 2 == 1 and dbl[0] <= p)
-    if hook and hook[0] % 2 == 1 and hook[0] <= p:
-        return True
-    return bool(dbl and dbl[0] % 2 == 0 and dbl[0] < p)
-
-
-def _is_unique(group: GroupFamily, partition: Partition, p: int) -> bool:
-    hook = _hook(partition)
-    dbl = _doubled_hook(partition)
-    if group.family is Family.SL:
-        return bool(hook and hook[0] <= p and (hook[0] not in (3, p) or hook[1] == 0))
-    if group.family is Family.SP:
-        if hook and hook[0] % 2 == 0 and hook[0] < p:
-            return True
-        return bool(
-            dbl
-            and dbl[0] % 2 == 1
-            and dbl[0] < p
-            and (dbl[0] != 3 or dbl[1] == 0)
-        )
-    if hook and hook[0] % 2 == 1 and hook[0] <= p:
-        return hook[0] != 3 or hook[1] == 0
-    return bool(dbl and dbl[0] % 2 == 0 and dbl[0] < p)
-
-
-def witnesses(
-    group: GroupFamily, partition: Partition, p: int
-) -> tuple[ModuleDescriptor, ModuleDescriptor]:
-    """Two non-isomorphic module structures both producing this partition,
-    for the four shapes that admit an explicit construction.
-
-    Only meaningful when the verdict is NonUnique; raises
-    NoWitnessRuleError for partitions outside the four shapes.
-    """
-    validate(group, partition, p)
-    hook = _hook(partition)
-    dbl = _doubled_hook(partition)
+def _exception_pair(
+    family: Family, a: int, r: int, p: int
+) -> tuple[ModuleDescriptor, ModuleDescriptor] | None:
+    """The witness pair of the unicity shape headed by J(a) with r trivial
+    blocks, if it is one of the four exceptions, else None.  Within a
+    family the first matching rule wins."""
 
     def irr(*factors, kind=Irr):
         """An Irr (or, with kind=Doubled, a Doubled) of the tensor product
@@ -237,26 +183,23 @@ def witnesses(
     def triv(r):
         return (Trivial(r),) if r > 0 else ()
 
-    if group.family is Family.SL and hook and hook[0] == p and hook[1] > 0:
-        r = hook[1]
+    if family is Family.SP:
+        if a == p:  # (p, p, 1^r)
+            first = (irr((p - 1, 0), kind=Doubled),) + triv(r)
+            second = (irr((1, 0), (p - 1, 1)),) + triv(r)
+        elif a == 3 and r > 0:  # (3, 3, 1^r)
+            first = (irr((2, 0), kind=Doubled), Trivial(r))
+            second = (irr((1, 0), (1, 1), kind=Doubled),) + triv(r - 2)
+        else:
+            return None
+    elif family is Family.SL and a == p and r > 0:  # (p, 1^r)
         first = (irr((p - 1, 0)), Trivial(r))
         second = (Weyl(p),) + triv(r - 1)
-    elif group.family in (Family.SL, Family.SO) and hook and hook[0] == 3 and hook[1] > 0:
-        r = hook[1]
+    elif a == 3 and r > 0:  # (3, 1^r) in SL or SO
         first = (irr((2, 0)), Trivial(r))
         second = (irr((1, 0), (1, 1)),) + triv(r - 1)
-    elif group.family is Family.SP and dbl and dbl[0] == p:
-        r = dbl[1]
-        first = (irr((p - 1, 0), kind=Doubled),) + triv(r)
-        second = (irr((1, 0), (p - 1, 1)),) + triv(r)
-    elif group.family is Family.SP and dbl and dbl[0] == 3 and dbl[1] > 0:
-        r = dbl[1]
-        first = (irr((2, 0), kind=Doubled), Trivial(r))
-        second = (irr((1, 0), (1, 1), kind=Doubled),) + triv(r - 2)
     else:
-        raise NoWitnessRuleError(
-            f"no explicit witness construction for {group} with blocks ({partition})"
-        )
+        return None
     return ModuleDescriptor(first, p), ModuleDescriptor(second, p)
 
 
@@ -270,8 +213,7 @@ def unicity_verdict(group: GroupFamily, partition: Partition, p: int) -> Verdict
         )
     try:
         validate(group, partition, p)
-    except (BadPrimeError, DimensionMismatchError, ParityViolationError,
-            IdentityElementError) as err:
+    except ValidationError as err:
         return Verdict(VerdictKind.OUT_OF_SCOPE, reason=str(err))
     if not is_order_p(partition, p):
         return Verdict(
@@ -279,10 +221,34 @@ def unicity_verdict(group: GroupFamily, partition: Partition, p: int) -> Verdict
             reason=f"largest block {partition.parts[0]} not in [2, p]: "
             "element order is not p",
         )
-    if _is_unique(group, partition, p):
+    parts = partition.parts
+    a = parts[0]
+    head = 1 if _carries_form(group.family, a) else 2
+    if parts != (a,) * head + (1,) * (len(parts) - head):
+        return Verdict(VerdictKind.NON_UNIQUE)
+    pair = _exception_pair(group.family, a, len(parts) - head, p)
+    if pair is None:
         return Verdict(VerdictKind.UNIQUE)
-    try:
-        pair = witnesses(group, partition, p)
-    except NoWitnessRuleError:
-        pair = None
     return Verdict(VerdictKind.NON_UNIQUE, witness_pair=pair)
+
+
+def witnesses(
+    group: GroupFamily, partition: Partition, p: int
+) -> tuple[ModuleDescriptor, ModuleDescriptor]:
+    """Two non-isomorphic module structures both producing this partition,
+    for the four shapes that admit an explicit construction.
+
+    Raises a ValidationError subclass for inputs `validate` refuses,
+    InvalidQueryError with the verdict's reason for the other inputs the
+    classifier calls OutOfScope, and NoWitnessRuleError for partitions
+    outside the four shapes.
+    """
+    validate(group, partition, p)
+    v = unicity_verdict(group, partition, p)
+    if v.kind is VerdictKind.OUT_OF_SCOPE:
+        raise InvalidQueryError(v.reason)
+    if v.witness_pair is None:
+        raise NoWitnessRuleError(
+            f"no explicit witness construction for {group} with blocks ({partition})"
+        )
+    return v.witness_pair

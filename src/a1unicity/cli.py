@@ -84,8 +84,7 @@ _FORM_BY_FLAG = {
 
 
 def _group_arg(family: str, dim: int) -> GroupFamily:
-    key = family.upper() if len(family) == 1 else family
-    fam = _FAMILY_BY_FLAG.get(key) or _FAMILY_BY_FLAG.get(family.upper())
+    fam = _FAMILY_BY_FLAG.get(family.upper())
     if fam is None:
         raise _UsageError(f"--family: unknown family {family!r}")
     if family.upper() == "B" and dim % 2 == 0:

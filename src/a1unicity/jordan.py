@@ -46,12 +46,6 @@ class JordanType:
     def dimension(self) -> int:
         return sum(self.blocks)
 
-    def __add__(self, other: "JordanType") -> "JordanType":
-        """Direct sum."""
-        if self.p != other.p:
-            raise PrimeMismatchError(f"p = {self.p} vs p = {other.p}")
-        return JordanType(self.blocks + other.blocks, self.p)
-
     def __str__(self) -> str:
         return jnotation(self.blocks)
 

@@ -273,6 +273,10 @@ def test_domain_errors_exit_one():
     assert code == 1  # no witness rule
     code, _ = capture(["module", "-p", "5", "L(9)"])
     assert code == 1  # weight not restricted
+    code, _ = capture(["witnesses", "--family", "SO", "--p", "5", "--partition", "3,1,1,1"])
+    assert code == 1  # small rank -> out of scope
+    code, _ = capture(["witnesses", "--family", "A", "--p", "2", "--partition", "3,1"])
+    assert code == 1  # element order is not p
 
 
 def test_usage_errors_exit_two():

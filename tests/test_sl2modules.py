@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,6 +150,17 @@ def test_trivials_merge_and_order_is_canonical():
     assert a == b
     assert format_descriptor(a) == "L(2)+3*triv"
 
+
+
+def test_every_summand_attribute_is_read_only():
+    # A subclass of a frozen dataclass that is not itself decorated guards
+    # only the base's fields: the cached key and text of Irr and Doubled,
+    # and any new attribute, would become assignable.
+    m = IrreducibleDescriptor((IrreducibleFactor(2, 0),))
+    for summand, name in ((Irr(m), "key"), (Doubled(m), "text"),
+                          (Weyl(5), "letter"), (Tilting(5), "rank")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(summand, name, None)
 
 # Scrambled input, p, canonical text.  Weyl and Tilting summands sit by
 # dimension among the irreducibles, the kind (Irr, Doubled, Weyl,
