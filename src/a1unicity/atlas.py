@@ -14,10 +14,10 @@ owns the hypothesis.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
 
 from .errors import BadPrimeError, UnknownLabelError, VerdictKind
 from .ffmatrix import is_prime
@@ -104,13 +104,19 @@ def _match_condition(condition: str, p: int) -> bool:
     raise ValueError(f"bad p_condition {condition!r}")
 
 
+def _read_data(name: str) -> str:
+    """A file of the package's data directory, read with plain open, so
+    a query loads no importlib.resources or pathlib."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 @lru_cache(maxsize=1)
 def _tables():
     """(labels per group, unique rows, recorded nonunique rows)."""
     labels: dict[ExceptionalType, set[str]] = {t: set() for t in ExceptionalType}
-    text = resources.files("a1unicity.data").joinpath("atlas_labels.txt").read_text(
-        encoding="utf-8"
-    )
+    text = _read_data("atlas_labels.txt")
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -120,9 +126,7 @@ def _tables():
 
     unique_rows: list[tuple[ExceptionalType, str, str]] = []
     nonunique_rows: list[tuple[ExceptionalType, str, str]] = []
-    text = resources.files("a1unicity.data").joinpath("atlas_rules.txt").read_text(
-        encoding="utf-8"
-    )
+    text = _read_data("atlas_rules.txt")
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):

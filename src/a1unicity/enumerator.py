@@ -10,44 +10,53 @@ is an independent re-derivation of the classical unicity verdicts: a
 partition meets a unique class of A1-overgroups exactly when one
 canonical structure survives and raising the twist bound adds nothing.
 
-The count is one memoized recursion over the groups of the atom pool:
-the atoms of one Jordan type and form, which differ only in their
-twists.  At a group it chooses a total multiplicity K and the union F
-of the twist flags of the atoms that get a copy, and weights that branch
-by the number of ways to spread K copies over the group's atoms with
-flag union F.  For a class of c atoms with equal flags, k copies spread
-in
+The count is one memoized recursion over groups of atoms: the atoms of
+one Jordan type and form, which differ only in their weight tuples'
+twists.  A group is stored as its weight tuples and the number of its
+atoms with each value of two twist flags (bit 0: a factor of twist 0,
+bit 1: a factor of twist max_twist).  With T = max_twist, the k-subsets
+of twists 0..T split into C(T-1, k-2) holding both 0 and T, C(T-1, k-1)
+holding only 0, as many holding only T, and C(T-1, k) holding neither,
+so the count builds no atom.  At a group it chooses a total multiplicity
+K and the union F of the twist flags of the atoms that get a copy, and
+weights that branch by the number of ways to spread K copies over the
+group's atoms with flag union F.  Over N atoms, k copies spread in
 
-  * C(k + c - 1, c - 1) ways when a lone copy carries the ambient form;
-  * C(k/2 + c - 1, c - 1) ways for even k, and none for odd k, when it
+  * C(k + N - 1, N - 1) ways when a lone copy carries the ambient form;
+  * C(k/2 + N - 1, N - 1) ways for even k, and none for odd k, when it
     does not (a lone copy must carry the form itself; pairs always pair
     up hyperbolically);
-  * C(c, k) ways with distinct_irr, where a group whose lone copy
+  * C(N, k) ways with distinct_irr, where a group whose lone copy
     cannot carry the form is unusable;
 
-and the weight of (K, F) combines the at most four flag classes.  At
-the leaf the leftover 1-blocks are the trivial summand: an even number
-of them under a symplectic form, and at most one with distinct_irr.
+and inclusion-exclusion over the flag classes a spread may use gives the
+ways for each union F exactly.  At the leaf the leftover 1-blocks are
+the trivial summand: an even number of them under a symplectic form,
+and at most one with distinct_irr.
 
-The state is the group index, the remaining block counts and two flags:
-"some chosen factor has twist 0" and "some chosen factor has twist
-max_twist".  A multiset whose least twist is s > 0 is the shift of one
-whose least twist is 0, so the classes are exactly the completions with
-the twist-0 flag, and no shifts need deduplicating; the all-trivial
-structure adds one more when it is admissible.  The family grows with
-the twist bound iff some completion sets both flags.  Skipping a group
-(K = 0) is followed forward in a loop, so the recursion nests once per
-group chosen with K >= 1, which uses up at least one nontrivial block:
-it is never deeper than the number of nontrivial blocks.  The memo
-belongs to one query and is freed with its result.
+The state is the group index, the remaining block counts and the two
+flags of the factors chosen so far.  A multiset whose least twist is
+s > 0 is the shift of one whose least twist is 0, so the classes are
+exactly the completions with the twist-0 flag, and no shifts need
+deduplicating; the all-trivial structure adds one more when it is
+admissible.  The family grows with the twist bound iff some completion
+sets both flags.  Skipping a group (K = 0) is followed forward in a
+loop, so the recursion nests once per group chosen with K >= 1, which
+uses up at least one nontrivial block.  The memo belongs to one query
+and is freed with its result.
 
 The listing is lazy: EnumerationResult.classes walks the same memo on
-first read and enters only branches whose count is nonzero: at a group
-it expands the concrete atom assignments of K copies once per K and
-follows those whose flag union F leads to a nonzero count.  One Irr and
-one Doubled per atom are shared by every class of the listing, so each
-summand's order key and text are computed once.  It builds and formats
-each class's descriptor once, in canonical form:
+first read and enters only branches whose count is nonzero.  At a group
+it splits K over the flag classes whose union is a live F and expands
+the concrete spreads of each part over that class's atoms, which it
+builds on first use.  Every spread it expands completes to at least one
+class, so the listing's work follows its classes, and a flag class whose
+atoms it builds has no more atoms than the listing has classes (or, with
+distinct_irr, than the partition has blocks).  The classes are sorted at
+the end, so the walk's order is free.  One Irr and one Doubled per atom
+are shared by every class of the listing, so each summand's order key
+and text are computed once.  Each class's descriptor is built from these
+already validated summands and formatted once, in canonical form:
 
   * the minimum twist over all factors of all nontrivial summands is 0;
   * m isomorphic copies of an irreducible M are stored as floor(m/2)
@@ -57,10 +66,13 @@ each class's descriptor once, in canonical form:
     hyperbolically);
   * all trivial summands merge into one Trivial(r).
 
-Queries are bounded before any search: the atom pool size follows from
-(p, max_twist, dim) and the number of remaining-block states from the
-partition, and their product must stay within MAX_SEARCH.  A listing
-builds at most MAX_LISTED classes.
+Queries are bounded before any search by MAX_SEARCH.  The weight tuples
+walked, times the remaining-block states, must stay within it, and so
+must the memo entries of the groups that fit the partition times the
+copies each can take.  An atom's largest Jordan block is
+min(p, 1 + its weight sum), so when every block is below p only the
+weight tuples adding up to less than the largest block are walked.  A
+listing builds at most MAX_LISTED classes.
 """
 
 from __future__ import annotations
@@ -68,8 +80,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby, islice
 from math import comb, prod
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .errors import InvalidQueryError, NotCompletelyReducibleError
@@ -84,12 +97,21 @@ from .sl2modules import (
     ModuleDescriptor,
     Trivial,
     format_descriptor,
+    weights_form,
 )
 
-# Bound on (atom pool size) x (sub-multisets of the target partition),
-# which bounds the memo of one query.  It also keeps the recursion
-# shallow: the recursion nests once per chosen group, at most
-# min(atoms, blocks) <= sqrt(MAX_SEARCH) deep.
+# Bound on the work of one query's count, checked before it starts.
+# Two products must stay within it:
+#   * (weight tuples walked) x (block states), where the group table
+#     computes one Jordan type per weight tuple;
+#   * (block states) x (4 flag values) x (copies that fit, summed over
+#     the groups that fit the partition): the memo entries times the
+#     branches each can take.
+# Every fitting group takes at least one copy, so (fitting groups) x
+# (block states) <= MAX_SEARCH / 4 = 25,000.  The recursion nests once
+# per chosen group, and each uses up a nontrivial block, of which there
+# are fewer than the block states; so it is never deeper than
+# min(groups, blocks) <= sqrt(25,000) < 159.
 MAX_SEARCH = 100_000
 
 # Bound on the classes one listing builds (about 1 kB each).
@@ -146,18 +168,24 @@ class EnumerationResult:
         return self._listing()
 
 
+@lru_cache(maxsize=None)
+def _trivial(multiplicity: int) -> Trivial:
+    return Trivial(multiplicity)
+
+
 def _embedding_class(multiplicities, trivial: int, p: int) -> EmbeddingClass:
     """The class with these ((Irr, Doubled) of one irreducible,
-    multiplicity) pairs, already shifted to least twist 0, plus `trivial`
-    trivial summands."""
+    multiplicity) pairs, already shifted to least twist 0 and checked at
+    p, plus `trivial` trivial summands."""
     summands: list = []
     for (irr, doubled), mult in multiplicities:
         summands.extend([doubled] * (mult // 2))
         if mult % 2:
             summands.append(irr)
+    summands.sort(key=attrgetter("key"))
     if trivial:
-        summands.append(Trivial(trivial))
-    return EmbeddingClass(ModuleDescriptor(tuple(summands), p))
+        summands.append(_trivial(trivial))
+    return EmbeddingClass(ModuleDescriptor._checked(tuple(summands), p))
 
 
 def canonicalize(d: ModuleDescriptor) -> EmbeddingClass:
@@ -184,43 +212,45 @@ def canonicalize(d: ModuleDescriptor) -> EmbeddingClass:
     return _embedding_class(pairs, trivial, d.p)
 
 
-def _weight_tuples(p: int, max_twist: int, max_dim: int):
+def _weight_tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
     """The weight tuples of the atoms, depth first: at most max_twist + 1
-    weights in 1..p-1 whose dimensions w + 1 multiply to at most
-    max_dim.  Each tuple of k weights is an atom for every choice of k
-    increasing twists in 0..max_twist."""
+    weights in 1..p-1 that add up to at most max_sum and whose dimensions
+    w + 1 multiply to at most max_dim.  Each tuple of k weights is an
+    atom for every choice of k increasing twists in 0..max_twist."""
 
-    def grow(weights, room):
-        for weight in range(1, min(p, room)):
+    def grow(weights, room, left):
+        for weight in range(1, min(p, room, left + 1)):
             extended = weights + (weight,)
             yield extended
             if len(extended) <= max_twist:
-                yield from grow(extended, room // (weight + 1))
+                yield from grow(extended, room // (weight + 1), left - weight)
 
-    return grow((), max_dim)
-
-
-@lru_cache(maxsize=None)
-def _pool_size(p: int, max_twist: int, max_dim: int) -> int:
-    """The number of atoms in _atom_pool(p, max_twist, max_dim), counted
-    without building them; the count stops once it passes MAX_SEARCH.
-
-    Every weight tuple adds at least one atom, so this takes at most
-    MAX_SEARCH steps for any input.
-    """
-    total = 0
-    for weights in _weight_tuples(p, max_twist, max_dim):
-        total += comb(max_twist + 1, len(weights))
-        if total > MAX_SEARCH:
-            break
-    return total
+    return grow((), max_dim, max_sum)
 
 
 @lru_cache(maxsize=None)
-def _atom_pool(p: int, max_twist: int, max_dim: int):
-    """All twisted tensor-product irreducibles of dimension <= max_dim
-    with twists drawn from 0..max_twist, grouped by Jordan type and form:
-    triples ((block size, count) pairs, form type, atoms).
+def _tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
+    """The first MAX_SEARCH + 1 of _weight_tuples(p, max_twist, max_dim,
+    max_sum), so walking them stays bounded for any input."""
+    return tuple(islice(_weight_tuples(p, max_twist, max_dim, max_sum), MAX_SEARCH + 1))
+
+
+def _flag_twists(k: int, max_twist: int, flags: int):
+    """(low, high, free) for the k-subsets of twists 0..max_twist that
+    hold 0 iff bit 0 of flags is set and max_twist iff bit 1 is: low and
+    high are the twists the flags fix, and the free others come from
+    1..max_twist-1, in C(max_twist - 1, free) ways (none when free < 0)."""
+    low = (0,) if flags & 1 else ()
+    high = (max_twist,) if flags & 2 else ()
+    return low, high, k - len(low) - len(high)
+
+
+@lru_cache(maxsize=None)
+def _group_table(p: int, max_twist: int, max_dim: int, max_sum: int):
+    """The twisted tensor-product irreducibles of _tuples(p, max_twist,
+    max_dim, max_sum), with twists drawn from 0..max_twist, grouped by
+    Jordan type and form: rows ((block size, count) pairs, form type,
+    weight tuples, atoms per twist-flag value).
 
     Twists change neither the Jordan type nor the form, so both are
     computed once per weight tuple.  Weight tuples of one Jordan type can
@@ -228,31 +258,18 @@ def _atom_pool(p: int, max_twist: int, max_dim: int):
     part of the group key.
     """
     groups: dict = {}
-    for weights in _weight_tuples(p, max_twist, max_dim):
+    for weights in _tuples(p, max_twist, max_dim, max_sum):
         blocks = tensor_multi([w + 1 for w in weights], p).blocks
-        atoms = [
-            IrreducibleDescriptor(tuple(map(IrreducibleFactor, weights, twists)))
-            for twists in combinations(range(max_twist + 1), len(weights))
-        ]
-        key = (tuple(Counter(blocks).items()), atoms[0].form_type())
-        groups.setdefault(key, []).extend(atoms)
+        key = (tuple(Counter(blocks).items()), weights_form(weights))
+        tuples, atoms = groups.setdefault(key, ([], [0] * 4))
+        tuples.append(weights)
+        for flags in range(4):
+            _, _, free = _flag_twists(len(weights), max_twist, flags)
+            atoms[flags] += comb(max_twist - 1, free) if free >= 0 else 0
     return tuple(
-        (blocks, form, tuple(atoms)) for (blocks, form), atoms in groups.items()
+        (blocks, form, tuple(tuples), tuple(atoms))
+        for (blocks, form), (tuples, atoms) in groups.items()
     )
-
-
-@lru_cache(maxsize=None)
-def _pool_flags(p: int, max_twist: int, max_dim: int):
-    """For each group of _atom_pool(p, max_twist, max_dim): the twist
-    flags of its atoms (bit 0: a factor of twist 0, bit 1: a factor of
-    twist max_twist) and the number of its atoms with each flag value."""
-    out = []
-    for _, _, atoms in _atom_pool(p, max_twist, max_dim):
-        atom_flags = tuple(
-            (a.min_twist == 0) | (a.max_twist == max_twist) << 1 for a in atoms
-        )
-        out.append((atom_flags, tuple(atom_flags.count(f) for f in range(4))))
-    return tuple(out)
 
 
 def jordan_menu(
@@ -271,7 +288,7 @@ def jordan_menu(
         raise InvalidQueryError("max_dim must be >= 1")
     out = []
     # at most log2(max_dim) < max_dim.bit_length() factors fit
-    for weights in _weight_tuples(p, max_dim.bit_length(), max_dim):
+    for weights in _weight_tuples(p, max_dim.bit_length(), max_dim, max_dim):
         if list(weights) != sorted(weights):
             continue
         desc = IrreducibleDescriptor(
@@ -290,6 +307,8 @@ def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
     carry the form)."""
     if distinct_irr:
         return comb(atoms, k)
+    if not atoms:
+        return int(k == 0)
     if lone_ok:
         return comb(k + atoms - 1, atoms - 1)
     return comb(k // 2 + atoms - 1, atoms - 1) if k % 2 == 0 else 0
@@ -299,20 +318,25 @@ def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
 def _branch_weights(flag_counts, lone_ok: bool, distinct_irr: bool, k: int):
     """(flag union, ways) for each union of twist flags reachable by k
     copies of a group whose atoms fall into flag classes of these sizes;
-    a class adds its flags to the union iff it gets a copy."""
-    ways = {(0, 0): 1}  # (copies spread so far, flag union) -> ways
-    for flags, atoms in enumerate(flag_counts):
-        if not atoms:
-            continue
-        grown: Counter = Counter()
-        for (spent, union), w in ways.items():
-            grown[spent, union] += w
-            for j in range(1, k - spent + 1):
-                spread = _spread(j, atoms, lone_ok, distinct_irr)
-                if spread:
-                    grown[spent + j, union | flags] += w * spread
-        ways = grown
-    return tuple(sorted((union, w) for (spent, union), w in ways.items() if spent == k))
+    a class adds its flags to the union iff it gets a copy.
+
+    The spreads over the classes whose flags lie within a union V number
+    _spread(k, their atoms); the union is exactly U by inclusion-exclusion
+    over the V within U."""
+    within = [
+        _spread(k, sum(n for f, n in enumerate(flag_counts) if f | v == v),
+                lone_ok, distinct_irr)
+        for v in range(4)
+    ]
+    out = []
+    for union in range(4):
+        ways = sum(
+            (-1) ** bin(union ^ v).count("1") * within[v]
+            for v in range(4) if v | union == union
+        )
+        if ways:
+            out.append((union, ways))
+    return tuple(out)
 
 
 def _assignments(atoms: int, lone_ok: bool, distinct_irr: bool, k: int):
@@ -330,8 +354,8 @@ def _assignments(atoms: int, lone_ok: bool, distinct_irr: bool, k: int):
 
 
 class _Group(NamedTuple):
-    atoms: tuple[IrreducibleDescriptor, ...]
-    atom_flags: tuple[int, ...]  # per atom, as in _pool_flags
+    tuples: tuple[tuple[int, ...], ...]  # weight tuples of its atoms
+    flag_counts: tuple[int, ...]  # atoms per twist-flag value
     need: tuple[int, ...]  # blocks used by one copy, counted per target block size
     used: tuple[tuple[int, int], ...]  # (size index, count) where need > 0
     lone_ok: bool  # one copy may carry the ambient form itself
@@ -346,12 +370,13 @@ class _Search:
     that use up the nontrivial blocks in rem, with flags set so far.
     """
 
-    def __init__(self, groups, sizes, target, form, distinct_irr, p):
+    def __init__(self, groups, sizes, target, form, distinct_irr, p, max_twist):
         self.groups = groups
         self.target = target
         self.form = form
         self.distinct_irr = distinct_irr
         self.p = p
+        self.max_twist = max_twist
         self.one = sizes.index(1) if 1 in sizes else None
         # the last group using each block size: past it, that size is stuck
         self.last = [
@@ -359,6 +384,7 @@ class _Search:
             for j in range(len(sizes))
         ]
         self.memo: dict = {}
+        self.stops: dict = {}
 
     def ones(self, rem) -> int:
         return rem[self.one] if self.one is not None else 0
@@ -371,10 +397,12 @@ class _Search:
     def stop(self, rem) -> int | None:
         """First group index from which rem can no longer be used up, or
         None when only 1-blocks remain."""
-        stuck = [
-            self.last[j] + 1 for j, r in enumerate(rem) if r and j != self.one
-        ]
-        return min(stuck) if stuck else None
+        if rem not in self.stops:
+            stuck = [
+                self.last[j] + 1 for j, r in enumerate(rem) if r and j != self.one
+            ]
+            self.stops[rem] = min(stuck) if stuck else None
+        return self.stops[rem]
 
     def branches(self, i, rem):
         """(k, remaining, weights) for each total multiplicity k >= 1 of
@@ -421,13 +449,59 @@ class _Search:
         memo = self.memo
         out = []
         chosen: list = []
-        shared: dict = {}  # (group, atom index) -> (Irr, Doubled), one per listing
+        built: dict = {}  # (group, flags) -> its atoms' (Irr, Doubled), one per listing
+        split: dict = {}  # (group, copies, flag union) -> spreads
 
-        def summands(j, a):
-            if (j, a) not in shared:
-                atom = self.groups[j].atoms[a]
-                shared[j, a] = Irr(atom), Doubled(atom)
-            return shared[j, a]
+        def atoms(j, flags):
+            """The atoms of group j with these twist flags, in weight tuple
+            then twist order."""
+            if (j, flags) not in built:
+                pool = built[j, flags] = []
+                for weights in self.groups[j].tuples:
+                    low, high, free = _flag_twists(len(weights), self.max_twist, flags)
+                    if free < 0:
+                        continue
+                    # combinations reads its whole input first: C(T - 1, 0)
+                    # = 1 must not read 1..T-1
+                    for inner in combinations(range(1, self.max_twist), free) if free else [()]:
+                        atom = IrreducibleDescriptor(
+                            tuple(map(IrreducibleFactor, weights, low + inner + high))
+                        )
+                        pool.append((Irr(atom), Doubled(atom)))
+            return built[j, flags]
+
+        def spreads(j, k, union):
+            """Every spread of k copies over group j's atoms whose used twist
+            flags have this union, as ((Irr, Doubled), multiplicity) lists,
+            built on first use.  It gives each flag class within the union
+            a part of k, and builds a class's atoms only for a part that
+            the later classes can complete."""
+            group = self.groups[j]
+            lone_ok, distinct_irr = group.lone_ok, self.distinct_irr
+            step = 1 if lone_ok or distinct_irr else 2  # pairs only: k is even
+
+            def fill(f, left, got):
+                if f == 4:
+                    if not left and got == union:
+                        yield []
+                    return
+                yield from fill(f + 1, left, got)
+                n_atoms = group.flag_counts[f]
+                if not n_atoms or f | union != union:
+                    return
+                for part in range(step, left + 1, step):
+                    rests = _spread(part, n_atoms, lone_ok, distinct_irr) and list(
+                        fill(f + 1, left - part, got | f)
+                    )
+                    if rests:
+                        pool = atoms(j, f)
+                        for assignment in _assignments(len(pool), lone_ok, distinct_irr, part):
+                            head = [(pool[a], m) for a, m in assignment]
+                            yield from (head + rest for rest in rests)
+
+            if (j, k, union) not in split:
+                split[j, k, union] = list(fill(0, k, 0))
+            return split[j, k, union]
 
         def walk(i, rem, flags):
             # some completion of (i, rem, flags) has the twist-0 flag
@@ -441,26 +515,14 @@ class _Search:
                 # is used iff skipping it loses completions
                 rest = memo.get((j + 1, rem, flags), (0, 0))[0]
                 if rest != here:
-                    group = self.groups[j]
                     for k, r, weights in self.branches(j, rem):
-                        live = {
-                            union for union, _ in weights
-                            if self.count(j + 1, r, flags | union)[0]
-                        }
-                        if not live:
-                            continue
-                        for assignment in _assignments(
-                            len(group.atoms), group.lone_ok, self.distinct_irr, k
-                        ):
-                            union = 0
-                            for a, _ in assignment:
-                                union |= group.atom_flags[a]
-                            if union in live:
-                                chosen.extend(
-                                    (summands(j, a), m) for a, m in assignment
-                                )
+                        for union, _ in weights:
+                            if not self.count(j + 1, r, flags | union)[0]:
+                                continue
+                            for spread in spreads(j, k, union):
+                                chosen.extend(spread)
                                 walk(j + 1, r, flags | union)
-                                del chosen[-len(assignment):]
+                                del chosen[-len(spread):]
                 if not rest:
                     return
                 here = rest
@@ -512,19 +574,20 @@ def enumerate_embeddings(
 
     target = Counter(blocks)
     states = prod(m + 1 for m in target.values())
-    pool = _pool_size(p, max_twist, dim)
-    if pool * states > MAX_SEARCH:
+    # the largest Jordan block of an atom is min(p, 1 + its weight sum),
+    # and a group fits only if that is a block of the partition
+    top = max(blocks, default=1)
+    max_sum = top - 1 if top < p else dim
+    walked = len(_tuples(p, max_twist, dim, max_sum))
+    if walked * states > MAX_SEARCH:
         raise InvalidQueryError(
-            f"search too large: {pool} or more atoms times {states} block "
-            f"states exceeds the budget {MAX_SEARCH}"
+            f"search too large: {walked} or more weight tuples times {states} "
+            f"block states exceeds the budget {MAX_SEARCH}"
         )
-
     sizes = sorted(target, reverse=True)
     where = {size: j for j, size in enumerate(sizes)}
     groups = []
-    for (jordan, atom_form, descs), (atom_flags, flag_counts) in zip(
-        _atom_pool(p, max_twist, dim), _pool_flags(p, max_twist, dim)
-    ):
+    for jordan, atom_form, tuples, flag_counts in _group_table(p, max_twist, dim, max_sum):
         if any(target[size] < n for size, n in jordan):
             continue
         lone_ok = form is FormType.NONE or atom_form is form
@@ -533,15 +596,22 @@ def enumerate_embeddings(
         need = [0] * len(sizes)
         for size, n in jordan:
             need[where[size]] = n
-        need = tuple(need)
-        used = tuple((j, n) for j, n in enumerate(need) if n)
         weights = tuple(
             _branch_weights(flag_counts, lone_ok, distinct_irr, k)
-            for k in range(min(target[sizes[j]] // n for j, n in used) + 1)
+            for k in range(min(target[size] // n for size, n in jordan) + 1)
         )
-        groups.append(_Group(descs, atom_flags, need, used, lone_ok, weights))
+        used = tuple((where[size], n) for size, n in jordan)
+        groups.append(_Group(tuples, flag_counts, tuple(need), used, lone_ok, weights))
+    copies = sum(len(g.weights) - 1 for g in groups)
+    if states * 4 * copies > MAX_SEARCH:
+        raise InvalidQueryError(
+            f"search too large: {states} block states times 4 flag values "
+            f"times {copies} copies of {len(groups)} groups exceeds the budget "
+            f"{MAX_SEARCH}"
+        )
     search = _Search(
-        groups, sizes, tuple(target[size] for size in sizes), form, distinct_irr, p
+        groups, sizes, tuple(target[size] for size in sizes), form, distinct_irr,
+        p, max_twist,
     )
     count, both = search.count(0, search.target, 0)
     if search.all_trivial_ok():

@@ -32,8 +32,9 @@ Trivial 0 to 4.  Irr and Doubled share _IrrCopies and differ only in
 copies; they compute their key and text once, on construction, outside
 equality and hashing, and an enumeration listing shares one of each per
 atom.  Weyl and Tilting share _HighWeight.  Nothing is cached on
-IrreducibleDescriptor, whose pool atoms the enumerator's lru_cache keeps
-alive for the whole process.
+IrreducibleDescriptor.  ModuleDescriptor._checked builds a descriptor
+from summands already checked, merged and sorted, as an enumeration
+listing has them, without checking them again.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class FormType(Enum):
     ORTHOGONAL = "orthogonal"
     EITHER = "either"
     NONE = "none"
+
+
+def weights_form(weights) -> FormType:
+    """The form of the irreducible with these restricted weights (p odd):
+    symplectic iff the total highest weight is odd."""
+    return FormType.SYMPLECTIC if sum(weights) % 2 else FormType.ORTHOGONAL
 
 
 @dataclass(frozen=True, order=True)
@@ -124,8 +131,7 @@ class IrreducibleDescriptor:
 
     def form_type(self) -> FormType:
         """Symplectic iff the total highest weight is odd (p odd)."""
-        odd = sum(f.weight for f in self.factors) % 2
-        return FormType.SYMPLECTIC if odd else FormType.ORTHOGONAL
+        return weights_form(f.weight for f in self.factors)
 
     def jordan_type(self, p: int) -> JordanType:
         return tensor_multi([f.weight + 1 for f in self.factors], p)
@@ -309,6 +315,16 @@ class ModuleDescriptor:
             merged.append(Trivial(trivial))
         merged.sort(key=lambda s: s.sort_key(self.p))
         object.__setattr__(self, "summands", tuple(merged))
+
+    @classmethod
+    def _checked(cls, summands: tuple[Summand, ...], p: int) -> "ModuleDescriptor":
+        """The descriptor of summands that already passed check(p), with
+        the trivial ones merged and all in sort_key order, built without
+        checking them again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "summands", summands)
+        object.__setattr__(d, "p", p)
+        return d
 
     @property
     def is_completely_reducible(self) -> bool:

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -156,6 +157,41 @@ def test_enumerate_listing_budget_exits_one():
     assert proc.stderr.count("\n") == 1 and "140955 classes" in proc.stderr
 
 
+def test_adversarial_enumerations_are_answered_or_refused_quickly():
+    """Each probe is answered, or refused on one stderr line, in under
+    2 s: many blocks of p, huge twist bounds, and many small blocks."""
+    probes = [
+        ["--form", form, "--p", "7", "--partition", ",".join(["7"] * 300)]
+        for form in ("none", "orthogonal")
+    ] + [
+        ["--form", "none", "--p", "7", "--partition", "7,7,7", "--max-twist", str(t)]
+        for t in (10**6, 10**18)
+    ] + [
+        ["--form", form, "--p", "3", "--partition", ",".join(["2"] * 500)]
+        for form in ("none", "symplectic")
+    ] + [
+        # few weight tuples, but each state branches on up to 3000 copies
+        ["--form", "none", "--p", "5", "--partition", ",".join(["5"] * 3000),
+         "--max-twist", "1"],
+        # a block of p leaves the weight tuples unpruned: 10^5 of them
+        # walked at dimensions up to 3000
+        ["--form", "none", "--p", "31", "--partition", ",".join(["31"] + ["1"] * 2969),
+         "--max-twist", "20"],
+    ]
+    for argv in probes:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stderr(err):
+            code = run(["enumerate", *argv, "--json"], out=out)
+        assert time.perf_counter() - start < 2, argv
+        if code == 0:
+            assert err.getvalue() == "" and json.loads(out.getvalue())["result"]
+        else:
+            assert code == 1 and out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("a1u:"), lines
+
+
 def test_reader_closing_early_exits_one_without_traceback():
     """The read end of stdout is closed before the child writes, so its
     first flush meets a broken pipe."""
@@ -222,9 +258,16 @@ _QUERIES_WITHOUT_MATRICES = [
 ]
 
 
+_STDLIB_NOT_LOADED = ("importlib.resources", "pathlib", "tempfile", "shutil", "urllib")
+
+
 def test_queries_do_not_load_numpy():
     """The closed-form queries answer without numpy; the package still
-    loads ffmatrix and selfcheck, and the first matrix operation loads it."""
+    loads ffmatrix and selfcheck, and the first matrix operation loads it.
+    Without site (whose .pth files may import them anyway), the package
+    imports none of _STDLIB_NOT_LOADED, and the queries load none of them
+    but shutil, which argparse's help formatter imports for the terminal
+    width."""
     script = f"""
 import io, sys
 from a1unicity import cli
@@ -239,6 +282,20 @@ assert "numpy" in sys.modules
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    script = f"""
+import io, sys
+from a1unicity import cli
+loaded = [m for m in {_STDLIB_NOT_LOADED!r} if m in sys.modules]
+assert not loaded, ("import", loaded)
+for argv in {_QUERIES_WITHOUT_MATRICES!r}:
+    assert cli.run(argv + ["--json"], out=io.StringIO()) == 0, argv
+loaded = [m for m in {_STDLIB_NOT_LOADED!r} if m in sys.modules]
+assert loaded == ["shutil"], loaded
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -400,7 +457,7 @@ def _query_argv(draw):
     elif command == "enumerate":
         argv = ["enumerate", "--form", draw(_FORMS), *draw(_DIMS),
                 "--p", p, "--partition", draw(_partition_texts()),
-                "--max-twist", str(draw(st.integers(1, 3)))]
+                "--max-twist", str(draw(st.sampled_from([1, 2, 3, 10**6, 10**18])))]
         if draw(st.booleans()):
             argv.append("--distinct-irr")
     else:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, product
@@ -5,12 +6,11 @@ from math import prod
 
 import pytest
 
-from a1unicity.classical import SL, SO, Partition, Sp, validate
+from a1unicity.classical import SL, SO, Partition, Sp, unicity_verdict, validate
+from a1unicity import selfcheck
 from a1unicity.enumerator import (
-    MAX_SEARCH,
-    _atom_pool,
     _branch_weights,
-    _pool_size,
+    _group_table,
     canonicalize,
     dn_partition_list,
     enumerate_embeddings,
@@ -23,7 +23,7 @@ from a1unicity.errors import (
     ValidationError,
 )
 from a1unicity.ffmatrix import PrimeField
-from a1unicity.jordan import jordan_type_of_unipotent
+from a1unicity.jordan import jordan_type_of_unipotent, tensor_multi
 from a1unicity.sl2modules import (
     Doubled,
     FormType,
@@ -303,14 +303,46 @@ def test_listing_shares_one_summand_object_per_atom():
     assert all(len(ids) == 1 for ids in objects.values())
 
 
-def test_pool_size_counts_the_pool():
-    for p in (2, 3, 5, 7):
-        for max_twist in range(1, 5):
-            for max_dim in range(0, 25):
-                built = sum(len(atoms) for _, _, atoms in _atom_pool(p, max_twist, max_dim))
-                assert _pool_size(p, max_twist, max_dim) == built
-    # past MAX_SEARCH, counting stops after the first partial sum above it
-    assert MAX_SEARCH < _pool_size(7, 10**6, 21) < 10**8
+def test_group_flag_counts_match_built_atoms():
+    """Each group's closed-form atoms per twist-flag value equal the
+    counts over its atoms built one by one, and each weight tuple has the
+    group's Jordan type and form."""
+    groups = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for max_twist, max_dim in product(range(1, 7), range(1, 27)):
+            for blocks, form, tuples, flag_counts in _group_table(p, max_twist, max_dim, max_dim):
+                built = [0] * 4
+                for weights in tuples:
+                    jordan = tensor_multi([w + 1 for w in weights], p).blocks
+                    assert tuple(Counter(jordan).items()) == blocks
+                    for twists in combinations(range(max_twist + 1), len(weights)):
+                        atom = IrreducibleDescriptor(
+                            tuple(map(IrreducibleFactor, weights, twists))
+                        )
+                        assert atom.form_type() is form
+                        built[(atom.min_twist == 0) | (atom.max_twist == max_twist) << 1] += 1
+                assert tuple(built) == flag_counts, (p, max_twist, tuples)
+                groups += 1
+    assert groups == 11673
+
+
+def test_sp26_and_sp28_at_p13_are_answered_and_agree():
+    """Every valid Sp(26) and Sp(28) partition at p = 13 with blocks
+    below p fits the search budget, and the classifier agrees with the
+    enumeration on it; so does one of Sp(36) near the budget."""
+    queries = 0
+    for g, part, verdict, res in selfcheck.classifier_vs_enumeration(
+        13, {Sp: (26, 28)}
+    ):
+        assert selfcheck.agrees(verdict, res), (g, part)
+        queries += 1
+    assert queries == 1513
+    # 136 weight tuples of dimension <= 36 times 810 block states exceed
+    # the budget; the few whose weights add up to less than the largest
+    # block, 6, do not
+    blocks = (6, 4, 4, 3, 3, 2, 2, 2, 2) + (1,) * 8
+    res = enumerate_embeddings(FormType.SYMPLECTIC, 36, blocks, 13, 3)
+    assert selfcheck.agrees(unicity_verdict(Sp(36), Partition(blocks), 13), res)
 
 
 def test_one_jordan_type_of_both_forms():
@@ -438,3 +470,80 @@ def test_branch_weights_count_multiplicity_vectors():
                 got = _branch_weights(flag_counts, lone_ok, distinct_irr, k)
                 assert dict(got) == dict(want), (flag_counts, lone_ok, distinct_irr, k)
                 assert all(ways for _, ways in got)
+
+
+_FORMS = (FormType.NONE, FormType.SYMPLECTIC, FormType.ORTHOGONAL)
+
+
+def _count_lines():
+    """One line per query: every partition of dim 1-10 with blocks <= p
+    at p in {3, 5, 7, 11, 13}, under each form, max_twist in {1, 2, 4},
+    with and without distinct_irr."""
+    for p in (3, 5, 7, 11, 13):
+        for dim in range(1, 11):
+            for blocks in partitions_bounded(dim, p):
+                for form in _FORMS:
+                    for max_twist in (1, 2, 4):
+                        for distinct_irr in (False, True):
+                            res = enumerate_embeddings(
+                                form, dim, blocks, p, max_twist, distinct_irr
+                            )
+                            kind = {0: "none", 1: "one"}.get(res.count, "many")
+                            yield kind + " growing" * res.growth_flag, (
+                                f"{form.value} p={p} t={max_twist} d={distinct_irr} "
+                                f"{blocks}: {res.count} {res.growth_flag}"
+                            )
+
+
+def test_enumeration_counts_frozen():
+    rows = list(_count_lines())
+    assert Counter(kind for kind, _ in rows) == {
+        "none": 5934, "one": 1569, "one growing": 104, "many growing": 2923,
+    }
+    text = "\n".join(line for _, line in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "916702488b48e7ffa0acd7dd3b9f73cbbe55babbf0c800e0f65460e8f62d900e"
+    )
+
+
+@lru_cache(maxsize=None)
+def _listings():
+    """((form, p, max_twist, distinct_irr, blocks), classes) for every
+    partition of dim 1-9 with blocks <= p at p in {3, 5, 7}, under each
+    form, max_twist in {1, 2, 3}, with and without distinct_irr."""
+    out = []
+    for p in (3, 5, 7):
+        for dim in range(1, 10):
+            for blocks in partitions_bounded(dim, p):
+                for form in _FORMS:
+                    for max_twist in (1, 2, 3):
+                        for distinct_irr in (False, True):
+                            res = enumerate_embeddings(
+                                form, dim, blocks, p, max_twist, distinct_irr
+                            )
+                            query = (form, p, max_twist, distinct_irr, blocks)
+                            out.append((query, res.classes))
+    return out
+
+
+def test_listings_frozen():
+    listings = _listings()
+    assert len(listings) == 4086
+    assert sum(len(classes) for _, classes in listings) == 11211
+    text = "\n".join(
+        f"{form.value} p={p} t={t} d={d} {blocks}: " + " ".join(map(str, classes))
+        for (form, p, t, d, blocks), classes in listings
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "60d459a13ba1194908c598c5071bc2e7cabd44be3451b19cc5bbe9996ac261dd"
+    )
+
+
+def test_listed_descriptors_equal_validated_ones():
+    """A listed class equals the descriptor that full validation builds
+    from its summands, and formats the same."""
+    for (_, p, _, _, _), classes in _listings():
+        for c in classes:
+            again = ModuleDescriptor(c.descriptor.summands, p)
+            assert c.descriptor == again
+            assert c.text == format_descriptor(again)
