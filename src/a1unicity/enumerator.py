@@ -34,16 +34,16 @@ ways for each union F exactly.  At the leaf the leftover 1-blocks are
 the trivial summand: an even number of them under a symplectic form,
 and at most one with distinct_irr.
 
-The state is the group index, the remaining block counts and the two
-flags of the factors chosen so far.  A multiset whose least twist is
-s > 0 is the shift of one whose least twist is 0, so the classes are
-exactly the completions with the twist-0 flag, and no shifts need
-deduplicating; the all-trivial structure adds one more when it is
-admissible.  The family grows with the twist bound iff some completion
-sets both flags.  Skipping a group (K = 0) is followed forward in a
-loop, so the recursion nests once per group chosen with K >= 1, which
-uses up at least one nontrivial block.  The memo belongs to one query
-and is freed with its result.
+The state is the group index and the remaining block counts, and its
+memo entry tallies the completions by the union of their twist flags.
+A multiset whose least twist is s > 0 is the shift of one whose least
+twist is 0, so the classes are exactly the completions with the twist-0
+flag, and no shifts need deduplicating; the all-trivial structure adds
+one more when it is admissible.  The family grows with the twist bound
+iff some completion sets both flags.  Skipping a group (K = 0) is
+followed forward in a loop, so the recursion nests once per group chosen
+with K >= 1, which uses up at least one nontrivial block.  The memo
+belongs to one query and is freed with its result.
 
 The listing is lazy: EnumerationResult.classes walks the same memo on
 first read and enters only branches whose count is nonzero.  At a group
@@ -68,8 +68,8 @@ already validated summands and formatted once, in canonical form:
 
 Queries are bounded before any search by MAX_SEARCH.  The weight tuples
 walked, times the remaining-block states, must stay within it, and so
-must the memo entries of the groups that fit the partition times the
-copies each can take.  An atom's largest Jordan block is
+must the memo's flag tallies for the groups that fit the partition
+times the copies each can take.  An atom's largest Jordan block is
 min(p, 1 + its weight sum), so when every block is below p only the
 weight tuples adding up to less than the largest block are walked.  A
 listing builds at most MAX_LISTED classes.
@@ -104,9 +104,10 @@ from .sl2modules import (
 # Two products must stay within it:
 #   * (weight tuples walked) x (block states), where the group table
 #     computes one Jordan type per weight tuple;
-#   * (block states) x (4 flag values) x (copies that fit, summed over
-#     the groups that fit the partition): the memo entries times the
-#     branches each can take.
+#   * (block states) x (4 flag unions) x (copies that fit, summed over
+#     the groups that fit the partition): the memo's (group, state)
+#     entries, each a tally over 4 flag unions, times the branches each
+#     can take.
 # Every fitting group takes at least one copy, so (fitting groups) x
 # (block states) <= MAX_SEARCH / 4 = 25,000.  The recursion nests once
 # per chosen group, and each uses up a nontrivial block, of which there
@@ -246,26 +247,37 @@ def _flag_twists(k: int, max_twist: int, flags: int):
 
 
 @lru_cache(maxsize=None)
+def _atoms_per_flag(max_twist: int, k: int) -> tuple[int, ...]:
+    """How many k-subsets of twists 0..max_twist have each flag value."""
+    out = []
+    for flags in range(4):
+        _, _, free = _flag_twists(k, max_twist, flags)
+        out.append(comb(max_twist - 1, free) if free >= 0 else 0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _group_key(p: int, weights: tuple[int, ...]):
+    """((block size, count) pairs, form type) of the atoms with these
+    weights: twists change neither the Jordan type nor the form.  Weight
+    tuples of one Jordan type can differ in form (J_p tensor J_a is a
+    copies of J_p), so the form is part of the group key."""
+    blocks = tensor_multi([w + 1 for w in weights], p).blocks
+    return tuple(Counter(blocks).items()), weights_form(weights)
+
+
+@lru_cache(maxsize=None)
 def _group_table(p: int, max_twist: int, max_dim: int, max_sum: int):
     """The twisted tensor-product irreducibles of _tuples(p, max_twist,
     max_dim, max_sum), with twists drawn from 0..max_twist, grouped by
-    Jordan type and form: rows ((block size, count) pairs, form type,
-    weight tuples, atoms per twist-flag value).
-
-    Twists change neither the Jordan type nor the form, so both are
-    computed once per weight tuple.  Weight tuples of one Jordan type can
-    differ in form (J_p tensor J_a is a copies of J_p), so the form is
-    part of the group key.
-    """
+    _group_key: rows ((block size, count) pairs, form type, weight tuples,
+    atoms per twist-flag value)."""
     groups: dict = {}
     for weights in _tuples(p, max_twist, max_dim, max_sum):
-        blocks = tensor_multi([w + 1 for w in weights], p).blocks
-        key = (tuple(Counter(blocks).items()), weights_form(weights))
-        tuples, atoms = groups.setdefault(key, ([], [0] * 4))
+        tuples, atoms = groups.setdefault(_group_key(p, weights), ([], [0] * 4))
         tuples.append(weights)
-        for flags in range(4):
-            _, _, free = _flag_twists(len(weights), max_twist, flags)
-            atoms[flags] += comb(max_twist - 1, free) if free >= 0 else 0
+        for flags, n in enumerate(_atoms_per_flag(max_twist, len(weights))):
+            atoms[flags] += n
     return tuple(
         (blocks, form, tuple(tuples), tuple(atoms))
         for (blocks, form), (tuples, atoms) in groups.items()
@@ -353,6 +365,10 @@ def _assignments(atoms: int, lone_ok: bool, distinct_irr: bool, k: int):
         yield [(a, copies * len(list(run))) for a, run in groupby(pick)]
 
 
+_NONE = (0, 0, 0, 0)
+_LEAF = (1, 0, 0, 0)  # the trivial summand alone adds no twist flag
+
+
 class _Group(NamedTuple):
     tuples: tuple[tuple[int, ...], ...]  # weight tuples of its atoms
     flag_counts: tuple[int, ...]  # atoms per twist-flag value
@@ -365,9 +381,9 @@ class _Group(NamedTuple):
 class _Search:
     """The counting recursion of one query and its memo.
 
-    count(i, rem, flags) is the pair (completions with the twist-0 flag,
-    those with both flags) over multiplicities of groups i, i+1, ...
-    that use up the nontrivial blocks in rem, with flags set so far.
+    tally(i, rem)[u] counts the completions over multiplicities of groups
+    i, i+1, ... that use up the nontrivial blocks in rem and whose chosen
+    factors have twist-flag union u.
     """
 
     def __init__(self, groups, sizes, target, form, distinct_irr, p, max_twist):
@@ -414,31 +430,37 @@ class _Search:
             if weights:
                 yield k, tuple(r - k * n for r, n in zip(rem, group.need)), weights
 
-    def count(self, i, rem, flags) -> tuple[int, int]:
+    def tally(self, i, rem) -> tuple[int, int, int, int]:
         memo = self.memo
-        hit = memo.get((i, rem, flags))
+        hit = memo.get((i, rem))
         if hit is not None:
             return hit
         stop = self.stop(rem)
         if stop is None:
-            ok = flags & 1 and self.trivial_ok(self.ones(rem))
-            memo[(i, rem, flags)] = value = (1, int(flags == 3)) if ok else (0, 0)
+            memo[(i, rem)] = value = _LEAF if self.trivial_ok(self.ones(rem)) else _NONE
             return value
         # follow k = 0 forward to a known or stuck state, then fill the
         # chain in backwards: the recursion nests only for k >= 1
         j = i
-        while j < stop and (j, rem, flags) not in memo:
+        while j < stop and (j, rem) not in memo:
             j += 1
-        value = memo.get((j, rem, flags), (0, 0))
+        value = memo.get((j, rem), _NONE)
         for j in range(j - 1, i - 1, -1):
-            n0, both = value
+            acc = list(value)
             for _, r, weights in self.branches(j, rem):
+                sub = self.tally(j + 1, r)
                 for union, ways in weights:
-                    a, b = self.count(j + 1, r, flags | union)
-                    n0 += ways * a
-                    both += ways * b
-            value = memo[(j, rem, flags)] = (n0, both)
+                    for u, n in enumerate(sub):
+                        if n:
+                            acc[u | union] += ways * n
+            value = memo[(j, rem)] = tuple(acc)
         return value
+
+    def live(self, i, rem, flags) -> int:
+        """The completions of (i, rem) that have the twist-0 flag once
+        these flags are set."""
+        tally = self.tally(i, rem)
+        return sum(tally) if flags & 1 else tally[1] + tally[3]
 
     def all_trivial_ok(self) -> bool:
         """The structure made of trivial summands only is admissible."""
@@ -509,15 +531,15 @@ class _Search:
             if stop is None:
                 out.append(_embedding_class(chosen, self.ones(rem), self.p))
                 return
-            here = self.count(i, rem, flags)[0]
+            here = self.live(i, rem, flags)
             for j in range(i, stop):
-                # the memo holds every (j, rem, flags) below stop; group j
+                # the memo holds every (j, rem) below stop; group j
                 # is used iff skipping it loses completions
-                rest = memo.get((j + 1, rem, flags), (0, 0))[0]
+                rest = self.live(j + 1, rem, flags)
                 if rest != here:
                     for k, r, weights in self.branches(j, rem):
                         for union, _ in weights:
-                            if not self.count(j + 1, r, flags | union)[0]:
+                            if not self.live(j + 1, r, flags | union):
                                 continue
                             for spread in spreads(j, k, union):
                                 chosen.extend(spread)
@@ -527,7 +549,7 @@ class _Search:
                     return
                 here = rest
 
-        if self.count(0, self.target, 0)[0]:
+        if self.live(0, self.target, 0):
             walk(0, self.target, 0)
         if self.all_trivial_ok():
             out.append(_embedding_class((), self.ones(self.target), self.p))
@@ -572,7 +594,7 @@ def enumerate_embeddings(
     if max_twist < 1:
         raise InvalidQueryError("max_twist must be >= 1")
 
-    target = Counter(blocks)
+    target = dict(Counter(blocks))
     states = prod(m + 1 for m in target.values())
     # the largest Jordan block of an atom is min(p, 1 + its weight sum),
     # and a group fits only if that is a block of the partition
@@ -588,24 +610,24 @@ def enumerate_embeddings(
     where = {size: j for j, size in enumerate(sizes)}
     groups = []
     for jordan, atom_form, tuples, flag_counts in _group_table(p, max_twist, dim, max_sum):
-        if any(target[size] < n for size, n in jordan):
-            continue
         lone_ok = form is FormType.NONE or atom_form is form
         if distinct_irr and not lone_ok:
             continue  # every summand would have to be a lone copy
-        need = [0] * len(sizes)
-        for size, n in jordan:
-            need[where[size]] = n
-        weights = tuple(
-            _branch_weights(flag_counts, lone_ok, distinct_irr, k)
-            for k in range(min(target[size] // n for size, n in jordan) + 1)
-        )
+        most = min(target.get(size, 0) // n for size, n in jordan)  # copies that fit
+        if not most:
+            continue
         used = tuple((where[size], n) for size, n in jordan)
+        need = [0] * len(sizes)
+        for j, n in used:
+            need[j] = n
+        weights = tuple(
+            _branch_weights(flag_counts, lone_ok, distinct_irr, k) for k in range(most + 1)
+        )
         groups.append(_Group(tuples, flag_counts, tuple(need), used, lone_ok, weights))
     copies = sum(len(g.weights) - 1 for g in groups)
     if states * 4 * copies > MAX_SEARCH:
         raise InvalidQueryError(
-            f"search too large: {states} block states times 4 flag values "
+            f"search too large: {states} block states times 4 flag unions "
             f"times {copies} copies of {len(groups)} groups exceeds the budget "
             f"{MAX_SEARCH}"
         )
@@ -613,10 +635,9 @@ def enumerate_embeddings(
         groups, sizes, tuple(target[size] for size in sizes), form, distinct_irr,
         p, max_twist,
     )
-    count, both = search.count(0, search.target, 0)
-    if search.all_trivial_ok():
-        count += 1
-    return EnumerationResult(count, max_twist, both > 0, search.classes)
+    tally = search.tally(0, search.target)
+    count = search.live(0, search.target, 0) + search.all_trivial_ok()
+    return EnumerationResult(count, max_twist, tally[3] > 0, search.classes)
 
 
 def dn_partition_list(n: int, p: int, max_twist: int = 3) -> set[tuple[int, ...]]:
