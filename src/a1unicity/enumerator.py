@@ -479,13 +479,15 @@ class _Search:
             then twist order."""
             if (j, flags) not in built:
                 pool = built[j, flags] = []
+                top = self.max_twist
                 for weights in self.groups[j].tuples:
-                    low, high, free = _flag_twists(len(weights), self.max_twist, flags)
+                    low, high, free = _flag_twists(len(weights), top, flags)
                     if free < 0:
                         continue
                     # combinations reads its whole input first: C(T - 1, 0)
                     # = 1 must not read 1..T-1
-                    for inner in combinations(range(1, self.max_twist), free) if free else [()]:
+                    inners = combinations(range(1, top), free) if free else [()]
+                    for inner in inners:
                         atom = IrreducibleDescriptor(
                             tuple(map(IrreducibleFactor, weights, low + inner + high))
                         )
@@ -517,7 +519,9 @@ class _Search:
                     )
                     if rests:
                         pool = atoms(j, f)
-                        for assignment in _assignments(len(pool), lone_ok, distinct_irr, part):
+                        for assignment in _assignments(
+                            len(pool), lone_ok, distinct_irr, part
+                        ):
                             head = [(pool[a], m) for a, m in assignment]
                             yield from (head + rest for rest in rests)
 
@@ -609,7 +613,8 @@ def enumerate_embeddings(
     sizes = sorted(target, reverse=True)
     where = {size: j for j, size in enumerate(sizes)}
     groups = []
-    for jordan, atom_form, tuples, flag_counts in _group_table(p, max_twist, dim, max_sum):
+    table = _group_table(p, max_twist, dim, max_sum)
+    for jordan, atom_form, tuples, flag_counts in table:
         lone_ok = form is FormType.NONE or atom_form is form
         if distinct_irr and not lone_ok:
             continue  # every summand would have to be a lone copy
@@ -621,7 +626,8 @@ def enumerate_embeddings(
         for j, n in used:
             need[j] = n
         weights = tuple(
-            _branch_weights(flag_counts, lone_ok, distinct_irr, k) for k in range(most + 1)
+            _branch_weights(flag_counts, lone_ok, distinct_irr, k)
+            for k in range(most + 1)
         )
         groups.append(_Group(tuples, flag_counts, tuple(need), used, lone_ok, weights))
     copies = sum(len(g.weights) - 1 for g in groups)
@@ -635,9 +641,9 @@ def enumerate_embeddings(
         groups, sizes, tuple(target[size] for size in sizes), form, distinct_irr,
         p, max_twist,
     )
-    tally = search.tally(0, search.target)
     count = search.live(0, search.target, 0) + search.all_trivial_ok()
-    return EnumerationResult(count, max_twist, tally[3] > 0, search.classes)
+    growing = search.tally(0, search.target)[3] > 0  # a completion sets both flags
+    return EnumerationResult(count, max_twist, growing, search.classes)
 
 
 def dn_partition_list(n: int, p: int, max_twist: int = 3) -> set[tuple[int, ...]]:

@@ -310,7 +310,8 @@ def test_group_flag_counts_match_built_atoms():
     groups = 0
     for p in (2, 3, 5, 7, 11, 13):
         for max_twist, max_dim in product(range(1, 7), range(1, 27)):
-            for blocks, form, tuples, flag_counts in _group_table(p, max_twist, max_dim, max_dim):
+            table = _group_table(p, max_twist, max_dim, max_dim)
+            for blocks, form, tuples, flag_counts in table:
                 built = [0] * 4
                 for weights in tuples:
                     jordan = tensor_multi([w + 1 for w in weights], p).blocks
@@ -320,7 +321,8 @@ def test_group_flag_counts_match_built_atoms():
                             tuple(map(IrreducibleFactor, weights, twists))
                         )
                         assert atom.form_type() is form
-                        built[(atom.min_twist == 0) | (atom.max_twist == max_twist) << 1] += 1
+                        low, high = atom.min_twist == 0, atom.max_twist == max_twist
+                        built[low | high << 1] += 1
                 assert tuple(built) == flag_counts, (p, max_twist, tuples)
                 groups += 1
     assert groups == 11673
