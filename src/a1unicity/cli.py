@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import atlas, selfcheck
 from .classical import (
@@ -97,13 +98,28 @@ def _group_arg(family: str, dim: int) -> GroupFamily:
         raise _UsageError(str(err)) from None
 
 
-def _emit(payload: dict, as_json: bool, lines, out) -> None:
-    if as_json:
-        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        out.write("\n")
+def _classical_query(args) -> tuple[GroupFamily, Partition, dict]:
+    """The group, the partition (--dim defaults to its total) and the JSON
+    input of a classify classical or witnesses query."""
+    part = _partition_arg(args.partition)
+    g = _group_arg(args.family, args.dim if args.dim is not None else part.n)
+    query = {
+        "family": g.family.value,
+        "dim": g.dimension,
+        "p": args.p,
+        "partition": list(part.parts),
+    }
+    return g, part, query
+
+
+def _emit(args, out, query: dict, result: dict, provenance: str, human) -> None:
+    """The answer: under --json one envelope line, otherwise the human lines."""
+    if args.json:
+        envelope = {"command": args.command_name, "input": query, "result": result,
+                    "provenance": [provenance]}
+        out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
     else:
-        for line in lines:
-            out.write(line + "\n")
+        out.write("".join(line + "\n" for line in human))
 
 
 def _cmd_tensor(args, out) -> int:
@@ -116,17 +132,12 @@ def _cmd_tensor(args, out) -> int:
                 f"tensor dimension exceeds the answer budget {MAX_MODULE_DIMENSION}"
             )
     t = tensor_multi(sizes, args.p)
-    payload = {
-        "command": "tensor",
-        "input": {"p": args.p, "sizes": sizes},
-        "result": {"blocks": list(t.blocks), "dimension": t.dimension},
-        "provenance": ["tensor decomposition of full Jordan blocks mod p"],
-    }
-    human = [
-        " x ".join(f"J{m}" for m in sizes) + f"  (mod {args.p})",
-        f"  = {jnotation(t.blocks)}   [dim {t.dimension}]",
-    ]
-    _emit(payload, args.json, human, out)
+    _emit(args, out, {"p": args.p, "sizes": sizes},
+          {"blocks": list(t.blocks), "dimension": t.dimension},
+          "tensor decomposition of full Jordan blocks mod p", [
+              " x ".join(f"J{m}" for m in sizes) + f"  (mod {args.p})",
+              f"  = {jnotation(t.blocks)}   [dim {t.dimension}]",
+          ])
     return 0
 
 
@@ -143,58 +154,38 @@ def _cmd_module(args, out) -> int:
         realizable = True
     except DomainError:
         realizable = False
-    payload = {
-        "command": "module",
-        "input": {"p": args.p, "descriptor": args.descriptor},
-        "result": {
-            "canonical": format_descriptor(d),
-            "dimension": dim,
-            "blocks": list(t.blocks),
-            "jordan_type": jnotation(t.blocks),
-            "form": form_type(d).value,
-            "realizable": realizable,
-        },
-        "provenance": ["module arithmetic: dimension, Jordan type, invariant form"],
-    }
-    human = [
-        f"module    {format_descriptor(d)}   (p = {args.p})",
+    canonical, form = format_descriptor(d), form_type(d).value
+    _emit(args, out, {"p": args.p, "descriptor": args.descriptor}, {
+        "canonical": canonical,
+        "dimension": dim,
+        "blocks": list(t.blocks),
+        "jordan_type": jnotation(t.blocks),
+        "form": form,
+        "realizable": realizable,
+    }, "module arithmetic: dimension, Jordan type, invariant form", [
+        f"module    {canonical}   (p = {args.p})",
         f"dimension {dim}",
         f"type      {jnotation(t.blocks)}",
-        f"form      {form_type(d).value}",
+        f"form      {form}",
         f"matrix    {'available' if realizable else 'not realizable'}",
-    ]
-    _emit(payload, args.json, human, out)
+    ])
     return 0
 
 
 def _cmd_classify_classical(args, out) -> int:
-    part = _partition_arg(args.partition)
-    dim = args.dim if args.dim is not None else part.n
-    g = _group_arg(args.family, dim)
+    g, part, query = _classical_query(args)
     v = unicity_verdict(g, part, args.p)
     result = {"verdict": v.kind.value}
-    if v.reason:
-        result["reason"] = v.reason
-    if v.witness_pair:
-        result["witnesses"] = sorted(format_descriptor(d) for d in v.witness_pair)
-    payload = {
-        "command": "classify classical",
-        "input": {
-            "family": g.family.value,
-            "dim": g.dimension,
-            "p": args.p,
-            "partition": list(part.parts),
-        },
-        "result": result,
-        "provenance": [f"classical unicity criterion, type {g.family.value}"],
-    }
     human = [f"{g}, u = {jnotation(part.parts)}, p = {args.p}: {v.kind.value}"]
     if v.reason:
+        result["reason"] = v.reason
         human.append(f"  reason: {v.reason}")
     if v.witness_pair:
-        human.append("  witnesses: " + "  |  ".join(
-            format_descriptor(d) for d in v.witness_pair))
-    _emit(payload, args.json, human, out)
+        pair = [format_descriptor(d) for d in v.witness_pair]
+        result["witnesses"] = sorted(pair)
+        human.append("  witnesses: " + "  |  ".join(pair))
+    _emit(args, out, query, result,
+          f"classical unicity criterion, type {g.family.value}", human)
     return 0 if v.kind is not VerdictKind.OUT_OF_SCOPE else 1
 
 
@@ -202,18 +193,12 @@ def _cmd_classify_exceptional(args, out) -> int:
     g = atlas.group(args.group)
     v = atlas.verdict(g, args.p, args.label)
     result = {"verdict": v.kind.value}
-    if v.note:
-        result["note"] = v.note
-    payload = {
-        "command": "classify exceptional",
-        "input": {"group": g.type.value, "p": args.p, "label": args.label},
-        "result": result,
-        "provenance": ["exceptional unicity table"],
-    }
     human = [f"{g}, class {atlas.normalize_label(args.label)}, p = {args.p}: {v.kind.value}"]
     if v.note:
+        result["note"] = v.note
         human.append(f"  note: {v.note}")
-    _emit(payload, args.json, human, out)
+    _emit(args, out, {"group": g.type.value, "p": args.p, "label": args.label},
+          result, "exceptional unicity table", human)
     return 1 if v.kind in (VerdictKind.BAD_PRIME, VerdictKind.UNKNOWN_LABEL) else 0
 
 
@@ -225,59 +210,32 @@ def _cmd_enumerate(args, out) -> int:
         form, dim, part, args.p, args.max_twist, distinct_irr=args.distinct_irr
     )
     classes = [str(c) for c in res.classes]
-    payload = {
-        "command": "enumerate",
-        "input": {
-            "form": args.form,
-            "dim": dim,
-            "p": args.p,
-            "partition": list(part.parts),
-            "max_twist": args.max_twist,
-            "distinct_irr": args.distinct_irr,
-        },
-        "result": {
-            "count": res.count,
-            "growth_flag": res.growth_flag,
-            "classes": classes,
-        },
-        "provenance": ["completely reducible module enumeration"],
+    query = {
+        "form": args.form,
+        "dim": dim,
+        "p": args.p,
+        "partition": list(part.parts),
+        "max_twist": args.max_twist,
+        "distinct_irr": args.distinct_irr,
     }
-    human = [
-        f"{args.form} structures with type {jnotation(part.parts)} on dim {dim}, "
-        f"p = {args.p}, twists <= {args.max_twist}:",
-    ]
-    human += [f"  {c}" for c in classes] or ["  (none)"]
-    human.append(
-        f"count {res.count}; "
-        + ("count grows with the twist bound" if res.growth_flag else "count stable")
-    )
-    _emit(payload, args.json, human, out)
+    growth = "count grows with the twist bound" if res.growth_flag else "count stable"
+    _emit(args, out, query,
+          {"count": res.count, "growth_flag": res.growth_flag, "classes": classes},
+          "completely reducible module enumeration", [
+              f"{args.form} structures with type {jnotation(part.parts)} on dim {dim}, "
+              f"p = {args.p}, twists <= {args.max_twist}:",
+              *([f"  {c}" for c in classes] or ["  (none)"]),
+              f"count {res.count}; {growth}",
+          ])
     return 0
 
 
 def _cmd_witnesses(args, out) -> int:
-    part = _partition_arg(args.partition)
-    dim = args.dim if args.dim is not None else part.n
-    g = _group_arg(args.family, dim)
-    first, second = witnesses(g, part, args.p)
-    pair = [format_descriptor(first), format_descriptor(second)]
-    payload = {
-        "command": "witnesses",
-        "input": {
-            "family": g.family.value,
-            "dim": g.dimension,
-            "p": args.p,
-            "partition": list(part.parts),
-        },
-        "result": {"witnesses": pair},
-        "provenance": ["explicit non-conjugate overgroup constructions"],
-    }
-    human = [
-        f"{g}, u = {jnotation(part.parts)}, p = {args.p}:",
-        f"  {pair[0]}",
-        f"  {pair[1]}",
-    ]
-    _emit(payload, args.json, human, out)
+    g, part, query = _classical_query(args)
+    pair = [format_descriptor(d) for d in witnesses(g, part, args.p)]
+    _emit(args, out, query, {"witnesses": pair},
+          "explicit non-conjugate overgroup constructions",
+          [f"{g}, u = {jnotation(part.parts)}, p = {args.p}:", *(f"  {w}" for w in pair)])
     return 0
 
 
@@ -286,7 +244,9 @@ def _cmd_selfcheck(args, out) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The a1u parser, built on first use and shared by every later run."""
     parser = argparse.ArgumentParser(
         prog="a1u",
         description="Jordan-type calculus and unicity tests for A1-overgroups "
@@ -294,43 +254,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(parent, name, fn, help):
+        # `name` is the full command, as the JSON envelope spells it
+        sp = parent.add_parser(name.split()[-1], help=help)
+        sp.set_defaults(fn=fn, command_name=name)
+        return sp
+
     def add_json(sp):
         sp.add_argument("--json", action="store_true", help="emit a JSON envelope")
 
-    sp = sub.add_parser("tensor", help="decompose a tensor product of Jordan blocks")
+    def add_classical_query(sp):
+        sp.add_argument("--family", required=True, help="A/C/B/D or SL/Sp/SO")
+        sp.add_argument("--dim", type=int, help="natural module dimension "
+                        "(default: partition total)")
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--partition", required=True, help="descending, e.g. 6,1,1,1,1")
+        add_json(sp)
+
+    sp = command(sub, "tensor", _cmd_tensor, "decompose a tensor product of Jordan blocks")
     sp.add_argument("-p", "--p", type=int, required=True, help="characteristic")
     sp.add_argument("sizes", help="comma-separated block sizes, e.g. 2,5")
     add_json(sp)
-    sp.set_defaults(fn=_cmd_tensor)
 
-    sp = sub.add_parser("module", help="dimension, Jordan type and form of a descriptor")
+    sp = command(sub, "module", _cmd_module, "dimension, Jordan type and form of a descriptor")
     sp.add_argument("-p", "--p", type=int, required=True)
     sp.add_argument("descriptor", help="e.g. 'L(1)*L(3)@1+2*triv' or 'W(5)'")
     add_json(sp)
-    sp.set_defaults(fn=_cmd_module)
 
-    sp = sub.add_parser("classify", help="unicity verdicts")
-    csub = sp.add_subparsers(dest="kind", required=True)
+    csub = sub.add_parser("classify", help="unicity verdicts").add_subparsers(
+        dest="kind", required=True)
+    add_classical_query(command(csub, "classify classical", _cmd_classify_classical,
+                                "verdict from the Jordan partition"))
+    sp = command(csub, "classify exceptional", _cmd_classify_exceptional,
+                 "verdict from the class label")
+    sp.add_argument("--group", required=True, choices=["G2", "F4", "E6", "E7", "E8"])
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--label", required=True, help="e.g. A6, (A5)', Ã1 (or ~A1)")
+    add_json(sp)
 
-    spc = csub.add_parser("classical", help="verdict from the Jordan partition")
-    spc.add_argument("--family", required=True, help="A/C/B/D or SL/Sp/SO")
-    spc.add_argument("--dim", type=int, help="natural module dimension "
-                     "(default: partition total)")
-    spc.add_argument("--p", type=int, required=True)
-    spc.add_argument("--partition", required=True, help="descending, e.g. 6,1,1,1,1")
-    add_json(spc)
-    spc.set_defaults(fn=_cmd_classify_classical)
-
-    spe = csub.add_parser("exceptional", help="verdict from the class label")
-    spe.add_argument("--group", required=True, choices=["G2", "F4", "E6", "E7", "E8"])
-    spe.add_argument("--p", type=int, required=True)
-    spe.add_argument("--label", required=True, help="e.g. A6, (A5)', Ã1 (or ~A1)")
-    add_json(spe)
-    spe.set_defaults(fn=_cmd_classify_exceptional)
-
-    sp = sub.add_parser(
-        "enumerate", help="completely reducible structures with a given type"
-    )
+    sp = command(sub, "enumerate", _cmd_enumerate,
+                 "completely reducible structures with a given type")
     sp.add_argument("--form", choices=sorted(_FORM_BY_FLAG), required=True)
     sp.add_argument("--dim", type=int, help="default: partition total")
     sp.add_argument("--p", type=int, required=True)
@@ -343,28 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairwise inequivalent irreducible summands only",
     )
     add_json(sp)
-    sp.set_defaults(fn=_cmd_enumerate)
 
-    sp = sub.add_parser("witnesses", help="explicit non-conjugate overgroup pair")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--partition", required=True)
-    add_json(sp)
-    sp.set_defaults(fn=_cmd_witnesses)
+    add_classical_query(command(sub, "witnesses", _cmd_witnesses,
+                                "explicit non-conjugate overgroup pair"))
 
-    sp = sub.add_parser("selfcheck", help="run the cross-validation suites")
+    sp = command(sub, "selfcheck", _cmd_selfcheck, "run the cross-validation suites")
     sp.add_argument("--quick", action="store_true", help="reduced ranges")
-    sp.set_defaults(fn=_cmd_selfcheck)
 
     return parser
 
 
 def run(argv, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code else 0
     try:

@@ -2,8 +2,9 @@
 
 Each suite re-derives a family of results two independent ways (closed
 form vs. matrix oracle, classifier vs. enumeration, table vs. frozen
-expectations) and returns (ok, detail).  `a1u selfcheck` runs them all,
-the acceptance tests call them, and the frozen tables here are the only
+expectations) and returns (ok, detail).  `a1u selfcheck` runs them all
+(a suite that raises a DomainError fails, and the rest still run), the
+acceptance tests call them, and the frozen tables here are the only
 copies.
 """
 
@@ -29,7 +30,7 @@ from .enumerator import (
     enumerate_embeddings,
     jordan_menu,
 )
-from .errors import NoWitnessRuleError, ValidationError
+from .errors import DomainError, NoWitnessRuleError, ValidationError
 from .ffmatrix import PrimeField, sym_power, unipotent_jordan_block
 from .jordan import (
     jordan_type_of_unipotent,
@@ -344,7 +345,10 @@ SUITES = [
 def run_selfcheck(quick: bool = False, emit=print) -> bool:
     ok_all = True
     for name, fn, takes_quick in SUITES:
-        ok, detail = fn(quick) if takes_quick else fn()
+        try:
+            ok, detail = fn(quick) if takes_quick else fn()
+        except DomainError as err:
+            ok, detail = False, f"{type(err).__name__}: {err}"
         ok_all &= ok
         emit(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     emit(("all checks passed" if ok_all else "CHECKS FAILED"))

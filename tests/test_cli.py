@@ -3,14 +3,17 @@ import json
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import a1unicity
 from a1unicity import cli, selfcheck, sl2modules
 from a1unicity.cli import run
 from a1unicity.enumerator import canonicalize
+from a1unicity.errors import InvalidQueryError
 from a1unicity.sl2modules import parse_descriptor
 
 
@@ -264,10 +267,11 @@ _STDLIB_NOT_LOADED = ("importlib.resources", "pathlib", "tempfile", "shutil", "u
 def test_queries_do_not_load_numpy():
     """The closed-form queries answer without numpy; the package still
     loads ffmatrix and selfcheck, and the first matrix operation loads it.
-    Without site (whose .pth files may import them anyway), the package
-    imports none of _STDLIB_NOT_LOADED, and the queries load none of them
-    but shutil, which argparse's help formatter imports for the terminal
-    width."""
+    Without site (whose .pth files may import them anyway): the package
+    loads none of its modules, atlas loads only what it needs, cli loads
+    every module, the package imports none of _STDLIB_NOT_LOADED, and the
+    queries load none of them but shutil, which argparse's help formatter
+    imports for the terminal width."""
     script = f"""
 import io, sys
 from a1unicity import cli
@@ -285,8 +289,17 @@ assert "numpy" in sys.modules
     )
     assert proc.returncode == 0, proc.stderr
     script = f"""
-import io, sys
+import io, os, sys
+import a1unicity
+assert [m for m in sys.modules if m.startswith("a1unicity.")] == [], "package"
+import a1unicity.atlas
+loaded = [m for m in ("classical", "enumerator", "jordan", "sl2modules", "selfcheck",
+                      "numpy") if m in sys.modules or "a1unicity." + m in sys.modules]
+assert not loaded, ("atlas", loaded)
 from a1unicity import cli
+modules = ["a1unicity." + f[:-3] for f in os.listdir(os.path.dirname(a1unicity.__file__))
+           if f.endswith(".py") and not f.startswith("__")]
+assert modules and all(m in sys.modules for m in modules), "cli"
 loaded = [m for m in {_STDLIB_NOT_LOADED!r} if m in sys.modules]
 assert not loaded, ("import", loaded)
 for argv in {_QUERIES_WITHOUT_MATRICES!r}:
@@ -298,6 +311,20 @@ assert loaded == ["shutil"], loaded
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_resolve_in_their_modules(monkeypatch):
+    """Each exported name is the object its module defines, looked up on
+    every access; other names raise AttributeError."""
+    assert len(a1unicity.__all__) == len(set(a1unicity.__all__)) == 50
+    for name in a1unicity.__all__:
+        module = sys.modules[getattr(a1unicity, name).__module__]
+        assert getattr(a1unicity, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        a1unicity.no_such_name  # noqa: B018
+    # nothing is cached, so a patch on the module shows through the package
+    monkeypatch.setattr(sl2modules, "realize", tuple)
+    assert a1unicity.realize is tuple
 
 
 _GOLDEN = Path(__file__).parent / "data" / "enumerate_golden.jsonl"
@@ -364,17 +391,26 @@ def test_selfcheck_quick():
     assert text.count("PASS") == 9
 
 
-def test_selfcheck_reports_a_failed_suite_and_exits_one(monkeypatch):
-    """`a1u selfcheck` prints what run_selfcheck emits: one failing suite
-    gives its FAIL line, the other suites still run, and the exit is 1."""
+def _raise_invalid_query():
+    raise InvalidQueryError("search budget exceeded")
+
+
+@pytest.mark.parametrize("suite, detail", [
+    (lambda: (False, "x"), "x"),
+    (_raise_invalid_query, "InvalidQueryError: search budget exceeded"),
+], ids=["fails", "raises"])
+def test_selfcheck_reports_a_failed_suite_and_exits_one(monkeypatch, suite, detail):
+    """`a1u selfcheck` prints what run_selfcheck emits: one failing or
+    raising suite gives its FAIL line, the other suites still run, and the
+    exit is 1."""
     suites = list(selfcheck.SUITES)
     name, _, _ = suites[4]
-    suites[4] = (name, lambda: (False, "x"), False)
+    suites[4] = (name, suite, False)
     monkeypatch.setattr(selfcheck, "SUITES", suites)
     code, text = capture(["selfcheck", "--quick"])
     assert code == 1
     lines = text.splitlines()
-    assert lines[4] == f"FAIL  {name}: x"
+    assert lines[4] == f"FAIL  {name}: {detail}"
     assert lines[-1] == "CHECKS FAILED"
     assert text.count("PASS") == 8
 
@@ -391,6 +427,19 @@ def test_json_repeatability_in_process():
         _, first = capture(argv + ["--json"])
         _, second = capture(argv + ["--json"])
         assert first == second
+    # the parser is built once per process; a usage error, --help and a
+    # run with flags leave nothing behind for the next run
+    query = ["enumerate", "--form", "symplectic", "--p", "7", "--partition", "4,4,2",
+             "--json"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert capture(["enumerate", "--form", "symplectic"]) == (2, "")
+        assert capture(["enumerate", "--help"]) == (0, "")
+    code, _ = capture(query + ["--max-twist", "2", "--distinct-irr"])
+    assert code == 0
+    code, text = capture(query)
+    assert code == 0 and text == _run_cli_process(query).stdout
+    assert json.loads(text)["input"]["max_twist"] == 3
+    assert json.loads(text)["input"]["distinct_irr"] is False
 
 
 _PRIMES = st.sampled_from(
