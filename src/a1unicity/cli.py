@@ -209,7 +209,6 @@ def _cmd_enumerate(args, out) -> int:
     res = enumerate_embeddings(
         form, dim, part, args.p, args.max_twist, distinct_irr=args.distinct_irr
     )
-    classes = [str(c) for c in res.classes]
     query = {
         "form": args.form,
         "dim": dim,
@@ -218,15 +217,20 @@ def _cmd_enumerate(args, out) -> int:
         "max_twist": args.max_twist,
         "distinct_irr": args.distinct_irr,
     }
+    result = {"count": res.count, "growth_flag": res.growth_flag}
+    listing = []
+    if args.count_only:
+        query["count_only"] = True
+    else:
+        result["classes"] = [str(c) for c in res.classes]
+        listing = [f"  {c}" for c in result["classes"]] or ["  (none)"]
     growth = "count grows with the twist bound" if res.growth_flag else "count stable"
-    _emit(args, out, query,
-          {"count": res.count, "growth_flag": res.growth_flag, "classes": classes},
-          "completely reducible module enumeration", [
-              f"{args.form} structures with type {jnotation(part.parts)} on dim {dim}, "
-              f"p = {args.p}, twists <= {args.max_twist}:",
-              *([f"  {c}" for c in classes] or ["  (none)"]),
-              f"count {res.count}; {growth}",
-          ])
+    _emit(args, out, query, result, "completely reducible module enumeration", [
+        f"{args.form} structures with type {jnotation(part.parts)} on dim {dim}, "
+        f"p = {args.p}, twists <= {args.max_twist}:",
+        *listing,
+        f"count {res.count}; {growth}",
+    ])
     return 0
 
 
@@ -304,6 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="distinct_irr",
         help="pairwise inequivalent irreducible summands only",
+    )
+    sp.add_argument(
+        "--count-only",
+        action="store_true",
+        dest="count_only",
+        help="print the count and growth flag without listing the classes",
     )
     add_json(sp)
 

@@ -11,19 +11,19 @@ nonzero in some row (a row operation never fills a column that is zero
 in every row), clears each pivot column with the multiplier
 m[i, c] * pivot^-1 mod p, and leaves pivot rows unscaled: its rows have
 strictly increasing leading columns and span the row space, which is
-all that rank and the Jordan-type oracle read.
+all that rank reads and all that _reduced_echelon starts from.
 
-The Jordan-type oracle also multiplies an r x n matrix by N = m - I.
-When every column of N has at most _GATHER_MAX_NONZEROS nonzeros (as
-for Kronecker products of Jordan blocks, which have at most 3), the
-product is a sum of that many scaled column gathers of the left factor
-in int64; otherwise it is a BLAS product, in float64 while
-n*(p-1)^2 < 2^53 (every partial sum is then an integer that float64
-holds exactly) and in int64 beyond.  Either way each entry is a sum of
-at most n products below (p-1)^2, so both paths are exact while
-n*(p-1)^2 < 2^63.  rank and jordan_block_sizes raise ShapeError beyond
-that bound instead of overflowing; so do kronecker and sym_power, which
-need (p-1)^2 < 2^63.
+The Jordan-type oracle walks the kernel chain ker N < ker N^2 < ... of
+N = m - I (see jordan_block_sizes): one elimination of the n x 2n matrix
+[N | I], then matrix products only, for the back-substitution to reduced
+echelon form and for every step of the chain.  Each product has inner
+dimension at most n, so each entry is a sum of at most n products below
+(p-1)^2.  Products run in float64 (BLAS) while n*(p-1)^2 < 2^53, where
+every partial sum is an integer that float64 holds exactly, and in int64
+beyond; both are exact while n*(p-1)^2 < 2^63.  rank and
+jordan_block_sizes raise ShapeError beyond that bound instead of
+overflowing, and above MAX_DIMENSION rows or columns; kronecker and
+sym_power need (p-1)^2 < 2^63.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, symmetric powers of the standard unipotent)
@@ -62,11 +62,11 @@ MAX_DIMENSION = 4096
 _FLOAT64_EXACT = 2**53
 _INT64_EXACT = 2**63
 
-# Right products by N = m - I gather columns while no column of N has
-# more nonzeros than this; denser N (realized modules) go through BLAS,
-# which wins from about 8 nonzeros per column at n = 150..460 on a 2-vCPU
-# host.
-_GATHER_MAX_NONZEROS = 4
+# Rows per slab of the back-substitution in _reduced_echelon.  A slab
+# costs one product with the finished rows below it and a few products of
+# its own size, so the number of products falls as slabs grow, while the
+# slab products grow as the cube of its size.
+_SLAB = 32
 
 
 # Strong-probable-prime tests to the first 13 primes decide primality
@@ -174,11 +174,7 @@ def kronecker(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
     _check_int64_exact(1, field.p)
     a = field.reduce(a)
     b = field.reduce(b)
-    if a.shape[0] * b.shape[0] > MAX_DIMENSION:
-        raise ShapeError(
-            f"kronecker result dimension {a.shape[0] * b.shape[0]} exceeds "
-            f"the configured bound {MAX_DIMENSION}"
-        )
+    _check_dimension("kronecker result", a.shape[0] * b.shape[0])
     return np.kron(a, b) % field.p
 
 
@@ -190,11 +186,7 @@ def block_diagonal(blocks, field: PrimeField) -> np.ndarray:
     if not blocks:
         raise EmptyMatrixError("no blocks given")
     n = sum(b.shape[0] for b in blocks)
-    if n > MAX_DIMENSION:
-        raise ShapeError(
-            f"block-diagonal dimension {n} exceeds the configured bound "
-            f"{MAX_DIMENSION}"
-        )
+    _check_dimension("block-diagonal", n)
     out = np.zeros((n, n), dtype=np.int64)
     at = 0
     for b in blocks:
@@ -202,6 +194,14 @@ def block_diagonal(blocks, field: PrimeField) -> np.ndarray:
         out[at : at + k, at : at + k] = b
         at += k
     return out
+
+
+def _check_dimension(what: str, n: int) -> None:
+    """Reject matrices larger than MAX_DIMENSION with a one-line ShapeError."""
+    if n > MAX_DIMENSION:
+        raise ShapeError(
+            f"{what} dimension {n} exceeds the configured bound {MAX_DIMENSION}"
+        )
 
 
 def _check_int64_exact(n: int, p: int) -> None:
@@ -212,12 +212,14 @@ def _check_int64_exact(n: int, p: int) -> None:
         )
 
 
-def _echelon(m: np.ndarray, field: PrimeField) -> np.ndarray:
+def _echelon(m: np.ndarray, field: PrimeField, width: int | None = None) -> np.ndarray:
     """Row-echelon basis of the row space of m over GF(p).
 
-    m must be int64 with entries in 0..p-1; it is overwritten.  Returns
-    one unscaled row per pivot: the rows have strictly increasing
-    leading columns and span the row space of m.
+    m must be int64 with entries in 0..p-1; it is overwritten.  Pivots
+    are sought in the first `width` columns only (all of them by default)
+    and the columns beyond are carried along.  Returns the first r rows
+    of m, one unscaled row per pivot, with strictly increasing leading
+    columns; the rows below them are zero in the first `width` columns.
     """
     import numpy as np
 
@@ -225,7 +227,7 @@ def _echelon(m: np.ndarray, field: PrimeField) -> np.ndarray:
     rows = m.shape[0]
     r = 0
     # a column that is zero in every row stays zero under row operations
-    for c in m.any(axis=0).nonzero()[0].tolist():
+    for c in m[:, :width].any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
         pivots = m[r:, c].nonzero()[0]
@@ -249,17 +251,105 @@ def _echelon(m: np.ndarray, field: PrimeField) -> np.ndarray:
     return m[:r]
 
 
+def _product_dtype(n: int, p: int):
+    """float64 while n*(p-1)^2 < 2^53, else int64.
+
+    Either holds every sum of at most n products of entries in 0..p-1
+    exactly, given the n*(p-1)^2 < 2^63 of _check_int64_exact.
+    """
+    import numpy as np
+
+    return np.float64 if n * (p - 1) ** 2 < _FLOAT64_EXACT else np.int64
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int, dtype) -> np.ndarray:
+    """a @ b mod p as int64, for a and b with entries in 0..p-1.
+
+    Computed in dtype, which must be _product_dtype(k, p) for a k at
+    least the inner dimension.
+    """
+    import numpy as np
+
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    # int64 remainder is several times faster than float64's
+    out = out.astype(np.int64, copy=False)
+    out %= p
+    return out
+
+
+def _reduced_echelon(
+    m: np.ndarray, field: PrimeField, width: int, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon basis of the row space of m over GF(p).
+
+    Runs _echelon(m, field, width), then back-substitutes bottom-up in
+    slabs of _SLAB rows, by products only: one clears a slab's entries in
+    the pivot columns of the finished rows below it; the slab is scaled
+    to unit pivots, so that its triangle of pivot columns is I + S with S
+    strictly upper triangular; and it is multiplied by
+    (I + S)^-1 = (I - S)(I + S^2)(I + S^4)..., which ends because S is
+    nilpotent.  dtype must be _product_dtype(k, p) for a k at least the
+    row count of m, which bounds the inner dimension of every product.
+
+    Returns the r pivot rows, with every pivot 1 and the only nonzero of
+    its column, and their leading columns.  The rows are m[:r] in place,
+    reinterpreted as dtype (float64 holds them exactly); the rows below
+    are as _echelon leaves them.
+    """
+    import numpy as np
+
+    p = field.p
+    rows = _echelon(m, field, width)
+    r = rows.shape[0]
+    lead = (rows[:, :width] != 0).argmax(axis=1)  # first nonzero of each row
+    # the pivots keep their values until their slab is scaled
+    scale = [field.inverse(x) for x in rows[np.arange(r), lead].tolist()]
+    out = rows.view(dtype)
+    for lo in range((r - 1) // _SLAB * _SLAB, -1, -_SLAB):
+        slab = rows[lo : lo + _SLAB]
+        hi = lo + slab.shape[0]
+        # each step is skipped where it would not change the slab, as is
+        # common for sparse inputs such as permuted Jordan blocks
+        if hi < r:
+            below = slab[:, lead[hi:]]
+            if below.any():
+                slab -= _product(below, out[hi:], p, dtype)
+                slab %= p
+        if any(x != 1 for x in scale[lo:hi]):
+            slab *= np.array(scale[lo:hi])[:, None]
+            slab %= p
+        diagonal = np.arange(hi - lo)
+        power = slab[:, lead[lo:hi]]  # I + S
+        power[diagonal, diagonal] = 0
+        if power.any():
+            power = (p - power) % p  # -S
+            inverse = power.copy()
+            inverse[diagonal, diagonal] = 1
+            while True:
+                power = _product(power, power, p, dtype)
+                if not power.any():
+                    break
+                inverse += _product(inverse, power, p, dtype)
+                inverse %= p
+            slab[:] = _product(inverse, slab, p, dtype)
+        out[lo:hi] = slab  # converts the slab's memory to dtype
+    return out, lead
+
+
 def rank(a: np.ndarray, field: PrimeField) -> int:
     """Rank over GF(p) by Gaussian elimination.
 
     Row operations are vectorised with numpy but all arithmetic is exact
-    int64 mod p.
+    int64 mod p.  Raises ShapeError above MAX_DIMENSION rows or columns.
     """
-    m = field.reduce(a)
-    if m.ndim != 2:
+    import numpy as np
+
+    shape = np.shape(a)
+    if len(shape) != 2:
         raise ShapeError("rank expects a 2-d matrix")
-    _check_int64_exact(m.shape[1], field.p)
-    return int(_echelon(m, field).shape[0])
+    _check_dimension("rank input", max(shape))
+    _check_int64_exact(shape[1], field.p)
+    return int(_echelon(field.reduce(a), field).shape[0])
 
 
 def _multiply_linear_power(
@@ -312,91 +402,104 @@ def sym_power(a: np.ndarray, c: int, field: PrimeField) -> np.ndarray:
     return out
 
 
-def _gather_columns(nil: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sparse columns of nil, or None if one has over _GATHER_MAX_NONZEROS.
-
-    Returns k x n arrays idx and val with nil[:, j] equal to the sum over t
-    of val[t, j] times the unit vector idx[t, j]; unused slots hold 0.
-    """
-    import numpy as np
-
-    counts = np.count_nonzero(nil, axis=0)
-    k = max(int(counts.max()), 1)
-    if k > _GATHER_MAX_NONZEROS:
-        return None
-    cols, rows = nil.T.nonzero()  # ordered by column, then row
-    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.zeros((k, nil.shape[1]), dtype=np.intp)
-    val = np.zeros((k, nil.shape[1]), dtype=np.int64)
-    idx[slot, cols] = rows
-    val[slot, cols] = nil[rows, cols]
-    return idx, val
-
-
-def _gather_product(
-    basis: np.ndarray, idx: np.ndarray, val: np.ndarray, p: int
-) -> np.ndarray:
-    """basis @ nil mod p in int64, for (idx, val) = _gather_columns(nil).
-
-    Each entry is a sum of k <= n products below (p-1)^2, so the caller's
-    _check_int64_exact(n, p) makes it exact.
-    """
-    out = basis.take(idx[0], axis=1) * val[0]
-    for t in range(1, idx.shape[0]):
-        out += basis.take(idx[t], axis=1) * val[t]
-    out %= p
-    return out
-
-
 def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     """Partition of Jordan block sizes of a unipotent matrix of order <= p.
 
     Computed from the rank sequence of N = m - I: the number of blocks of
-    size >= s equals rank(N^(s-1)) - rank(N^s).  Raises NotOrderPError
-    unless N^p = 0 (equivalently, m is unipotent with all blocks <= p).
+    size >= s is rank(N^(s-1)) - rank(N^s) = dim ker N^s - dim ker
+    N^(s-1).  Raises NotOrderPError unless N^p = 0 (equivalently, m is
+    unipotent with all blocks <= p), and ShapeError above MAX_DIMENSION
+    or unless n*(p-1)^2 < 2^63, the bound of the exact products (see the
+    module docstring).
 
-    N^s is never formed: row(N^s) = row(N^(s-1)) N, so an echelon basis of
-    row(N^(s-1)) is pushed through N and reduced again, and it shrinks at
-    every step.  The push gathers columns when N is sparse enough and is a
-    BLAS product otherwise (see the module docstring).
+    N^s is never formed; the kernel chain is walked instead.  One
+    elimination of [N | I], reduced by _reduced_echelon, gives the kernel
+    K of N, the left kernel L (the right halves of the kappa = dim K rows
+    whose left half vanished, one per Jordan block; im N is the set of w
+    with L w = 0) and a preimage map on im N.  Since ker N^(s+1) is
+    K + N^-1(ker N^s and im N), each step takes the L-images (kappa
+    entries each) of the vectors new in ker N^s and reduces them against
+    the at most kappa images kept so far.  Each combination with image 0
+    lies in im N, and its preimage is a new vector of ker N^(s+1); so
+    dim ker N^(s+1) - dim ker N^s is the number of them.  That is n pivot
+    steps in all, rank N for [N | I] and kappa for the images, where the
+    powers of N took the sum of their ranks, about n*p/2.
     """
     import numpy as np
 
-    nil = field.reduce(m)
-    if nil.ndim != 2 or nil.shape[0] != nil.shape[1]:
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ShapeError("jordan type needs a square matrix")
-    n = nil.shape[0]
+    n = shape[0]
     p = field.p
+    _check_dimension("jordan type input", n)
     _check_int64_exact(n, p)
-    nil -= identity(n)
-    nil %= p
-    gather = _gather_columns(nil)
-    if gather is None:
-        # every entry of basis @ nil is a sum of n products below (p-1)^2
-        exact_dtype = np.float64 if n * (p - 1) ** 2 < _FLOAT64_EXACT else np.int64
-        right = nil.astype(exact_dtype)
+    if n == 0:
+        raise EmptyMatrixError("jordan type of a 0 x 0 matrix requested")
+    nil = field.reduce(m)
+    dtype = _product_dtype(n, p)
+    # [N | I] with N = m - I
+    aug = np.zeros((n, 2 * n), dtype=np.int64)
+    aug[:, :n] = nil
+    diagonal = np.arange(n)
+    aug[diagonal, diagonal] = (nil.diagonal() - 1) % p
+    aug[diagonal, n + diagonal] = 1
+    del nil
+    reduced, pivot = _reduced_echelon(aug, field, n, dtype)
+    r = reduced.shape[0]
+    kappa = n - r
+    left = aug[r:, n:]  # kappa x n: w is in im N iff left @ w = 0
+    free = np.ones(n, dtype=bool)
+    free[pivot] = False
+    free = free.nonzero()[0]
+    # A vector x is carried as z(x) = [left @ x | right @ x], where right
+    # is the right half of the reduced rows: for x in im N, the y with
+    # y[pivot] = right @ x and y[free] = 0 solves N y = x, and
+    # z(y) = (right @ x) @ step_map.
+    step_map = np.empty((r, kappa + r), dtype=dtype)
+    step_map[:, :kappa] = left[:, pivot].T
+    step_map[:, kappa:] = reduced[:, n + pivot].T
+    # the kernel of N: for each free column f, e_f minus the reduced rows'
+    # entries of column f at the pivot columns
+    z = np.empty((kappa, kappa + r), dtype=np.int64)
+    z[:, :kappa] = left[:, free].T
+    z[:, kappa:] = reduced[:, n + free].T
+    z -= _product(reduced[:, free].T, step_map, p, dtype)
+    z %= p
+    del aug, reduced, left
+    kept = np.zeros((0, kappa + r), dtype=np.int64)  # [image | preimage] rows
+    kept_pivot = np.zeros(0, dtype=np.intp)
     ranks = [n]
-    basis = _echelon(nil, field)
+    rank_s = r
     s = 1
     while True:
-        r = basis.shape[0]
-        if r >= ranks[-1] and r > 0:
+        if rank_s >= ranks[-1] and rank_s > 0:
             # rank sequence stabilised above zero: not nilpotent
             raise NotOrderPError("matrix is not unipotent")
-        ranks.append(r)
-        if r == 0:
+        ranks.append(rank_s)
+        if rank_s == 0:
             break
         if s == p:
             raise NotOrderPError(
                 f"(m - 1)^{p} != 0: element order exceeds p = {p}"
             )
-        if gather is None:
-            basis = basis.astype(exact_dtype, copy=False) @ right
-            basis %= p
-            basis = basis.astype(np.int64, copy=False)
-        else:
-            basis = _gather_product(basis, *gather, p)
-        basis = _echelon(basis, field)
+        # z holds the vectors of ker N^s that are new since ker N^(s-1):
+        # reduce their images against the kept ones (kept is reduced on
+        # the image columns), then keep the independent rest
+        killed = z[:, kappa:]
+        if z[:, :kappa].any():
+            z -= _product(z[:, kept_pivot], kept, p, dtype)
+            z %= p
+            found, lead = _reduced_echelon(z, field, kappa, dtype)
+            kept -= _product(kept[:, lead], found, p, dtype)
+            kept %= p
+            kept = np.concatenate((kept, found.astype(np.int64)))
+            kept_pivot = np.concatenate((kept_pivot, lead))
+            killed = z[found.shape[0] :, kappa:]
+        # the rest have image 0, so they lie in im N, and their preimages
+        # are the new vectors of ker N^(s+1)
+        z = _product(killed, step_map, p, dtype)
+        rank_s -= killed.shape[0]
         s += 1
     at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
     at_least.append(0)

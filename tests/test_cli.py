@@ -148,6 +148,28 @@ def test_enumerate_search_budget_exits_one():
     assert proc.stderr.count("\n") == 1 and "InvalidQueryError" in proc.stderr
 
 
+def test_enumerate_count_only_answers_beyond_the_listing_budget():
+    argv = ["enumerate", "--form", "none", "--p", "7", "--partition", "7,7,7",
+            "--max-twist", "1000000", "--count-only"]
+    code, doc = capture_json(argv)
+    assert code == 0
+    assert doc["result"] == {"count": 3500004500001, "growth_flag": True}
+    assert doc["input"]["count_only"] is True
+    code, text = capture(argv)
+    assert code == 0
+    assert text.splitlines() == [
+        "none structures with type J7^3 on dim 21, p = 7, twists <= 1000000:",
+        "count 3500004500001; count grows with the twist bound",
+    ]
+    # on a listable query: the full answer's count and flag, and its input
+    listed = ["enumerate", "--form", "symplectic", "--p", "7", "--partition", "4,4,2"]
+    _, full = capture_json(listed)
+    _, counted = capture_json(listed + ["--count-only"])
+    assert full["result"]["classes"]
+    assert counted["result"] == {k: full["result"][k] for k in ("count", "growth_flag")}
+    assert counted["input"] == dict(full["input"], count_only=True)
+
+
 def test_enumerate_listing_budget_exits_one():
     # 140955 classes are counted at once but are too many to list
     proc = _run_cli_process(

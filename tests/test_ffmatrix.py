@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from a1unicity import ffmatrix, sl2modules
 from a1unicity.errors import (
@@ -272,7 +272,7 @@ def test_block_diagonal_rejects_oversized_result():
 
 
 def _reference_echelon(rows, p):
-    """Reduced row-echelon rows of a list-of-lists matrix over GF(p).
+    """Row-echelon rows, with unit pivots, of a list-of-lists matrix over GF(p).
 
     Plain Python integers throughout, so it shares no code with _echelon.
     """
@@ -323,29 +323,136 @@ def test_echelon_matches_reference_elimination(case):
     assert len(_reference_echelon(got + want, p)) == len(want)
 
 
-def _sparse_columns(n, most, p, rng):
-    """n x n matrix over GF(p) with 0..most nonzeros per column, one with most."""
-    nil = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        k = most if j == n // 2 else int(rng.integers(0, most + 1))
-        nil[rng.choice(n, k, replace=False), j] = rng.integers(1, p, k)
-    return nil
+@settings(max_examples=150, deadline=None)
+@given(_echelon_inputs(), st.sampled_from((1, 3, ffmatrix._SLAB)))
+def test_reduced_echelon_matches_reference_elimination(case, slab):
+    m, p = case
+    rows, cols = m.shape
+    assume(rows * (p - 1) ** 2 < 2**63)  # the products' exactness bound
+    want = _reference_echelon(m.tolist(), p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffmatrix, "_SLAB", slab)  # 1 and 3 split m into slabs
+        dtype = ffmatrix._product_dtype(rows, p)
+        got, lead = ffmatrix._reduced_echelon(m.copy(), PrimeField(p), cols, dtype)
+    got = got.astype(np.int64).tolist()
+    assert len(got) == len(want)
+    # the pivot columns are those of every echelon basis of the row space
+    assert lead.tolist() == [next(c for c, x in enumerate(row) if x) for row in want]
+    # each pivot is 1 and the only nonzero of its column
+    assert [[row[c] for c in lead] for row in got] == np.eye(len(got), dtype=int).tolist()
+    assert len(_reference_echelon(got + want, p)) == len(want)
 
 
-@pytest.mark.parametrize("p", [2, 5, 31, 4099, 100000007])
-def test_gather_product_equals_dense_product(p):
-    rng = np.random.default_rng(p)
-    for most in range(1, ffmatrix._GATHER_MAX_NONZEROS + 1):
-        nil = _sparse_columns(40, most, p, rng)
-        gather = ffmatrix._gather_columns(nil)
-        assert gather is not None and gather[0].shape == (most, 40)
-        basis = rng.integers(0, p, (17, 40))
-        want = basis.astype(object) @ nil.astype(object) % p
-        got = ffmatrix._gather_product(basis, *gather, p)
-        assert got.dtype == np.int64 and got.tolist() == want.tolist()
-    nil = _sparse_columns(40, ffmatrix._GATHER_MAX_NONZEROS + 1, p, rng)
-    assert ffmatrix._gather_columns(nil) is None  # BLAS product instead
-    assert ffmatrix._gather_columns(np.zeros((3, 3), dtype=np.int64))[0].shape == (1, 3)
+def _reference_jordan_type(m, p):
+    """Jordan type of m from the ranks of the explicit powers of N = m - 1.
+
+    Plain Python integers and _reference_echelon; it stops and raises as
+    jordan_block_sizes is specified to.
+    """
+    n = len(m)
+    nil = [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
+    columns = list(zip(*nil))
+    power, ranks = nil, [n]
+    while True:
+        r = len(_reference_echelon(power, p))
+        if r >= ranks[-1] and r > 0:
+            raise NotOrderPError("matrix is not unipotent")
+        ranks.append(r)
+        if r == 0:
+            break
+        if len(ranks) - 1 == p:
+            raise NotOrderPError(f"(m - 1)^{p} != 0: element order exceeds p = {p}")
+        power = [[sum(x * y for x, y in zip(row, col)) % p for col in columns] for row in power]
+    # ranks[s - 1] - ranks[s] blocks have size >= s
+    at_least = [ranks[s - 1] - ranks[s] for s in range(1, len(ranks))] + [0]
+    return tuple(
+        size
+        for size in range(len(at_least) - 1, 0, -1)
+        for _ in range(at_least[size - 1] - at_least[size])
+    )
+
+
+def _jordan_matrix(blocks):
+    """Unipotent matrix in Jordan form with the given block sizes."""
+    a = np.eye(sum(blocks), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        for i in range(at, at + b - 1):
+            a[i, i + 1] = 1
+        at += b
+    return a
+
+
+def _conjugate_randomly(a, p, rng):
+    """g a g^-1 for g a random permutation times 2n elementary matrices."""
+    n = a.shape[0]
+    perm = rng.permutation(n)
+    a = a[np.ix_(perm, perm)] % p
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.choice(n, 2, replace=False)
+        c = int(rng.integers(1, p))
+        a[i] = (a[i] + c * a[j]) % p  # E a, with E = 1 + c e_ij
+        a[:, j] = (a[:, j] - c * a[:, i]) % p  # (E a) E^-1
+    return a
+
+
+_ORACLE_PRIMES = (2, 3, 5, 7, 13, 100000007)  # the last runs the int64 products
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """An n x n matrix over GF(p), n <= 20: a conjugated unipotent with blocks
+    up to p + 2, an upper unitriangular, a random, or a conjugated unipotent
+    with one eigenvalue changed."""
+    p = draw(st.sampled_from(_ORACLE_PRIMES))
+    kind = draw(st.sampled_from(("unipotent", "unitriangular", "random", "perturbed")))
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "unitriangular":
+        upper = rng.integers(0, p, (n, n)) * (rng.random((n, n)) < rng.random())
+        return np.eye(n, dtype=np.int64) + np.triu(upper, 1), p
+    if kind == "random":
+        return rng.integers(0, p, (n, n)), p
+    blocks = []
+    while sum(blocks) < n:
+        blocks.append(int(rng.integers(1, min(p + 2, n - sum(blocks)) + 1)))
+    a = _jordan_matrix(blocks)
+    if kind == "perturbed":
+        i = int(rng.integers(0, n))
+        a[i, i] = int(rng.integers(0, p))
+    return _conjugate_randomly(a, p, rng), p
+
+
+def _outcome(fn, m, p):
+    try:
+        return fn(m, p)
+    except NotOrderPError as err:
+        return str(err)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_oracle_inputs(), st.sampled_from((1, 3, ffmatrix._SLAB)))
+def test_oracle_matches_reference_ranks_of_powers(case, slab):
+    m, p = case
+    want = _outcome(_reference_jordan_type, m.tolist(), p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffmatrix, "_SLAB", slab)  # 1 and 3 split [N | I] into slabs
+        got = _outcome(lambda a, q: jordan_block_sizes(a, PrimeField(q)), m, p)
+    assert got == want
+
+
+def test_oracle_and_rank_refuse_oversized_matrices():
+    # a broadcast view: the refusal must come before any copy is made
+    big = np.broadcast_to(np.int64(1), (MAX_DIMENSION + 1, MAX_DIMENSION + 1))
+    field = PrimeField(5)
+    want = f"dimension {MAX_DIMENSION + 1} exceeds the configured bound {MAX_DIMENSION}"
+    for fn in (jordan_block_sizes, rank):
+        with pytest.raises(ShapeError) as err:
+            fn(big, field)
+        assert want in str(err.value) and "\n" not in str(err.value)
+    with pytest.raises(ShapeError):
+        rank(big[:2], field)  # a wide matrix is refused as well
+    assert rank(big[:2, :MAX_DIMENSION], field) == 1
 
 
 @pytest.mark.parametrize(
@@ -358,8 +465,6 @@ def test_oracle_on_permuted_kronecker_products(m, n, p, seed):
     )
     perm = np.random.default_rng(seed).permutation(m * n)
     conj = a[np.ix_(perm, perm)]  # P a P^-1 for a permutation matrix P
-    # N = conj - I has at most 3 nonzeros per column, now scattered
-    assert ffmatrix._gather_columns((conj - identity(m * n)) % p) is not None
     assert jordan_block_sizes(conj, field) == tensor_pair(m, n, p).blocks
 
 
@@ -370,7 +475,4 @@ def test_oracle_on_permuted_kronecker_products(m, n, p, seed):
 def test_oracle_on_realized_three_factor_modules(p, descriptor):
     d = sl2modules.parse_descriptor(descriptor, p)
     a = sl2modules.realize(d)
-    n = a.shape[0]
-    # N = a - I is dense, so the oracle multiplies through BLAS
-    assert ffmatrix._gather_columns((a - identity(n)) % p) is None
     assert jordan_block_sizes(a, PrimeField(p)) == sl2modules.jordan_type(d).blocks

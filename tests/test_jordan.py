@@ -116,6 +116,13 @@ def test_closed_form_matches_oracle_spot(p):
     assert tensor_pair(p, p, p) == tensor_pair_oracle(p, p, p)
 
 
+def test_oracle_matches_closed_form_on_all_pairs_at_17():
+    p = 17
+    for m in range(1, p + 1):
+        for n in range(m, p + 1):  # all 153 pairs
+            assert tensor_pair_oracle(m, n, p) == tensor_pair(m, n, p), (m, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_dimension_conservation(data):
