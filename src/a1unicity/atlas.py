@@ -15,11 +15,10 @@ owns the hypothesis.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import BadPrimeError, UnknownLabelError, VerdictKind
+from .errors import BadPrimeError, Frozen, UnknownLabelError, VerdictKind
 from .ffmatrix import is_prime
 
 
@@ -48,9 +47,11 @@ _BAD_PRIMES = {
 }
 
 
-@dataclass(frozen=True)
-class ExceptionalGroup:
+class ExceptionalGroup(Frozen):
     type: ExceptionalType
+
+    def __init__(self, type: ExceptionalType):
+        object.__setattr__(self, "type", type)
 
     @property
     def coxeter_number(self) -> int:
@@ -78,10 +79,13 @@ def group(name: str) -> ExceptionalGroup:
         raise UnknownLabelError(f"unknown exceptional group {name!r}") from None
 
 
-@dataclass(frozen=True)
-class AtlasVerdict:
+class AtlasVerdict(Frozen):
     kind: VerdictKind
-    note: str | None = None
+    note: str | None
+
+    def __init__(self, kind: VerdictKind, note: str | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "note", note)
 
 
 def normalize_label(label: str) -> str:

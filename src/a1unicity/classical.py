@@ -34,12 +34,12 @@ confirms both families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
     BadPrimeError,
     DimensionMismatchError,
+    Frozen,
     IdentityElementError,
     InvalidQueryError,
     NoWitnessRuleError,
@@ -65,18 +65,19 @@ class Family(str, Enum):
     SO = "SO"
 
 
-@dataclass(frozen=True)
-class GroupFamily:
+class GroupFamily(Frozen):
     """A classical group together with its natural-module dimension."""
 
     family: Family
     dimension: int
 
-    def __post_init__(self):
-        if self.dimension < 2:
-            raise InvalidQueryError(f"natural module dimension {self.dimension} < 2")
-        if self.family is Family.SP and self.dimension % 2:
+    def __init__(self, family: Family, dimension: int):
+        if dimension < 2:
+            raise InvalidQueryError(f"natural module dimension {dimension} < 2")
+        if family is Family.SP and dimension % 2:
             raise InvalidQueryError("symplectic groups need even dimension")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "dimension", dimension)
 
     def __str__(self) -> str:
         return f"{self.family.value}({self.dimension})"
@@ -94,14 +95,13 @@ def SO(n: int) -> GroupFamily:
     return GroupFamily(Family.SO, n)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Descending list of positive integers."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
+    def __init__(self, parts):
+        parts = tuple(int(x) for x in parts)
         if not parts:
             raise ValueError("empty partition")
         if any(x < 1 for x in parts):
@@ -125,11 +125,15 @@ class Partition:
         return ",".join(str(x) for x in self.parts)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     kind: VerdictKind
-    witness_pair: tuple[ModuleDescriptor, ModuleDescriptor] | None = None
-    reason: str | None = None
+    witness_pair: tuple[ModuleDescriptor, ModuleDescriptor] | None
+    reason: str | None
+
+    def __init__(self, kind: VerdictKind, witness_pair=None, reason: str | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness_pair", witness_pair)
+        object.__setattr__(self, "reason", reason)
 
 
 # smallest natural-module dimensions the classification covers

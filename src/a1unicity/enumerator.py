@@ -73,19 +73,27 @@ times the copies each can take.  An atom's largest Jordan block is
 min(p, 1 + its weight sum), so when every block is below p only the
 weight tuples adding up to less than the largest block are walked.  A
 listing builds at most MAX_LISTED classes.
+
+Below block p the enumeration does not depend on p.  With every block
+below p, the search walks only the atoms whose weights add up to less
+than the largest block b.  Every tensor product such an atom forms,
+J(m) x J(n) with m + n - 1 <= 1 + (its weight sum) <= b < p, stays in
+the Clebsch-Gordan branch of jordan._tensor_pair_blocks.  The weights,
+the forms (the parity of the weight sum) and the twist flags do not
+see p either.  So the count, the growth flag and the listing are the
+same at every prime above the largest block, and a test pins that.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, groupby, islice
 from math import comb, prod
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .errors import InvalidQueryError, NotCompletelyReducibleError
+from .errors import Frozen, InvalidQueryError, NotCompletelyReducibleError
 from .ffmatrix import is_prime
 from .jordan import JordanType, tensor_multi
 from .sl2modules import (
@@ -119,15 +127,15 @@ MAX_SEARCH = 100_000
 MAX_LISTED = 50_000
 
 
-@dataclass(frozen=True)
-class EmbeddingClass:
+class EmbeddingClass(Frozen):
     """One conjugacy class of completely reducible embeddings, named by
     its canonical module descriptor."""
 
     descriptor: ModuleDescriptor
 
-    def __post_init__(self):
-        object.__setattr__(self, "text", format_descriptor(self.descriptor))
+    def __init__(self, descriptor: ModuleDescriptor):
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "text", format_descriptor(descriptor))
 
     @property
     def max_twist(self) -> int:
@@ -149,14 +157,17 @@ class EmbeddingClass:
         return self.text
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Frozen):
     count: int
     max_twist: int
     growth_flag: bool
-    _listing: Callable[[], tuple[EmbeddingClass, ...]] = field(
-        repr=False, compare=False
-    )
+    _listing: Callable[[], tuple[EmbeddingClass, ...]]  # neither compared nor shown
+
+    def __init__(self, count: int, max_twist: int, growth_flag: bool, _listing):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "max_twist", max_twist)
+        object.__setattr__(self, "growth_flag", growth_flag)
+        object.__setattr__(self, "_listing", _listing)
 
     @cached_property
     def classes(self) -> tuple[EmbeddingClass, ...]:
@@ -369,13 +380,21 @@ _NONE = (0, 0, 0, 0)
 _LEAF = (1, 0, 0, 0)  # the trivial summand alone adds no twist flag
 
 
-class _Group(NamedTuple):
+class _Group(Frozen):
     tuples: tuple[tuple[int, ...], ...]  # weight tuples of its atoms
     flag_counts: tuple[int, ...]  # atoms per twist-flag value
     need: tuple[int, ...]  # blocks used by one copy, counted per target block size
     used: tuple[tuple[int, int], ...]  # (size index, count) where need > 0
     lone_ok: bool  # one copy may carry the ambient form itself
     weights: tuple  # weights[k]: _branch_weights of k copies
+
+    def __init__(self, tuples, flag_counts, need, used, lone_ok, weights):
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "flag_counts", flag_counts)
+        object.__setattr__(self, "need", need)
+        object.__setattr__(self, "used", used)
+        object.__setattr__(self, "lone_ok", lone_ok)
+        object.__setattr__(self, "weights", weights)
 
 
 class _Search:

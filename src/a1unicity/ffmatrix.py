@@ -39,13 +39,13 @@ functions, and the benchmark tracer wraps them by module name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import (
     DomainError,
     EmptyMatrixError,
+    Frozen,
     NotOrderPError,
     NotPrimeError,
     OrderExceedsPError,
@@ -111,15 +111,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """The field GF(p) for a prime p >= 2."""
 
     p: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrimeError(f"{self.p} is not a prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise NotPrimeError(f"{p} is not a prime")
+        object.__setattr__(self, "p", p)
 
     def reduce(self, a) -> np.ndarray:
         """Return a as an int64 array with entries in 0..p-1."""

@@ -11,16 +11,14 @@ suite cross-checks the two exhaustively.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ffmatrix
-from .errors import OrderExceedsPError, PrimeMismatchError
+from .errors import Frozen, OrderExceedsPError, PrimeMismatchError
 from .ffmatrix import PrimeField
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(Frozen):
     """Multiset of Jordan block sizes over a fixed prime p.
 
     Blocks are stored descending; equality is plain tuple equality, so
@@ -30,17 +28,18 @@ class JordanType:
     blocks: tuple[int, ...]
     p: int
 
-    def __post_init__(self):
-        PrimeField(self.p)  # validates primality
-        blocks = tuple(sorted((int(b) for b in self.blocks), reverse=True))
+    def __init__(self, blocks, p: int):
+        PrimeField(p)  # validates primality
+        blocks = tuple(sorted((int(b) for b in blocks), reverse=True))
         for b in blocks:
             if b < 1:
                 raise ValueError(f"nonpositive block size {b}")
-            if b > self.p:
+            if b > p:
                 raise OrderExceedsPError(
-                    f"block size {b} > p = {self.p} means order above p"
+                    f"block size {b} > p = {p} means order above p"
                 )
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "p", p)
 
     @property
     def dimension(self) -> int:

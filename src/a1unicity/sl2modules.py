@@ -40,13 +40,14 @@ listing has them, without checking them again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from functools import total_ordering
 from typing import TYPE_CHECKING
 
 from . import ffmatrix
 from .errors import (
     DescriptorParseError,
+    Frozen,
     NotRealizableError,
     ShapeError,
     WeightError,
@@ -78,20 +79,29 @@ def weights_form(weights) -> FormType:
     return FormType.SYMPLECTIC if sum(weights) % 2 else FormType.ORTHOGONAL
 
 
-@dataclass(frozen=True, order=True)
-class IrreducibleFactor:
+@total_ordering
+class IrreducibleFactor(Frozen):
+    """L(weight) twisted by Frobenius twist times; ordered as the tuple
+    (weight, twist)."""
+
     weight: int
-    twist: int = 0
+    twist: int
 
-    def __post_init__(self):
-        if self.weight < 1:
-            raise WeightError(f"factor weight {self.weight} < 1")
-        if self.twist < 0:
-            raise WeightError(f"negative Frobenius twist {self.twist}")
+    def __init__(self, weight: int, twist: int = 0):
+        if weight < 1:
+            raise WeightError(f"factor weight {weight} < 1")
+        if twist < 0:
+            raise WeightError(f"negative Frobenius twist {twist}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "twist", twist)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weight, self.twist) < (other.weight, other.twist)
 
 
-@dataclass(frozen=True)
-class IrreducibleDescriptor:
+class IrreducibleDescriptor(Frozen):
     """Tensor product of twisted restricted irreducibles.
 
     Factors are stored sorted by twist; twists must be pairwise distinct
@@ -100,8 +110,8 @@ class IrreducibleDescriptor:
 
     factors: tuple[IrreducibleFactor, ...]
 
-    def __post_init__(self):
-        factors = tuple(sorted(self.factors, key=lambda f: f.twist))
+    def __init__(self, factors: tuple[IrreducibleFactor, ...]):
+        factors = tuple(sorted(factors, key=lambda f: f.twist))
         if not factors:
             raise WeightError("irreducible descriptor needs at least one factor")
         twists = [f.twist for f in factors]
@@ -144,17 +154,17 @@ class IrreducibleDescriptor:
         )
 
 
-@dataclass(frozen=True)
-class _IrrCopies:
+class _IrrCopies(Frozen):
     """Irr (copies = 1) or Doubled (copies = 2) of one irreducible."""
 
     module: IrreducibleDescriptor
 
-    def __post_init__(self):
-        inner = self.module.sort_key()
+    def __init__(self, module: IrreducibleDescriptor):
+        inner = module.sort_key()
         copies = self.copies
+        object.__setattr__(self, "module", module)
         object.__setattr__(self, "key", (False, -copies * inner[0], copies - 1, inner))
-        object.__setattr__(self, "text", "2*" * (copies - 1) + _format_irr(self.module))
+        object.__setattr__(self, "text", "2*" * (copies - 1) + _format_irr(module))
 
     def dimension(self, p: int) -> int:
         return -self.key[1]  # the key leads with the negated dimension
@@ -185,21 +195,21 @@ class _IrrCopies:
         return [out] * self.copies
 
 
-@dataclass(frozen=True)
 class Irr(_IrrCopies):
     copies = 1
 
 
-@dataclass(frozen=True)
 class Doubled(_IrrCopies):
     copies = 2
 
 
-@dataclass(frozen=True)
-class _HighWeight:
+class _HighWeight(Frozen):
     """Weyl(c) or Tilting(c), highest weight c in [p, 2p-2]."""
 
     weight: int
+
+    def __init__(self, weight: int):
+        object.__setattr__(self, "weight", weight)
 
     def dimension(self, p: int) -> int:
         return sum(self.blocks(p))
@@ -224,7 +234,6 @@ class _HighWeight:
         return f"{self.letter}({self.weight})"
 
 
-@dataclass(frozen=True)
 class Weyl(_HighWeight):
     rank, letter = 2, "W"
 
@@ -238,7 +247,6 @@ class Weyl(_HighWeight):
         return [ffmatrix.sym_power(u, self.weight, field)]
 
 
-@dataclass(frozen=True)
 class Tilting(_HighWeight):
     rank, letter = 3, "T"
 
@@ -252,9 +260,11 @@ class Tilting(_HighWeight):
         )
 
 
-@dataclass(frozen=True)
-class Trivial:
+class Trivial(Frozen):
     multiplicity: int
+
+    def __init__(self, multiplicity: int):
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     def dimension(self, p: int) -> int:
         return self.multiplicity
@@ -288,8 +298,7 @@ class Trivial:
 Summand = Irr | Doubled | Weyl | Tilting | Trivial
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
+class ModuleDescriptor(Frozen):
     """Formal direct sum of summands over a fixed prime p.
 
     Construction validates weight ranges, merges trivial summands and
@@ -299,22 +308,23 @@ class ModuleDescriptor:
     summands: tuple[Summand, ...]
     p: int
 
-    def __post_init__(self):
-        PrimeField(self.p)
-        if not self.summands:
+    def __init__(self, summands: tuple[Summand, ...], p: int):
+        PrimeField(p)
+        if not summands:
             raise WeightError("descriptor needs at least one summand")
         merged: list[Summand] = []
         trivial = 0
-        for s in self.summands:
-            s.check(self.p)
+        for s in summands:
+            s.check(p)
             if isinstance(s, Trivial):
                 trivial += s.multiplicity
             else:
                 merged.append(s)
         if trivial:
             merged.append(Trivial(trivial))
-        merged.sort(key=lambda s: s.sort_key(self.p))
+        merged.sort(key=lambda s: s.sort_key(p))
         object.__setattr__(self, "summands", tuple(merged))
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def _checked(cls, summands: tuple[Summand, ...], p: int) -> "ModuleDescriptor":
@@ -401,9 +411,11 @@ def realize(d: ModuleDescriptor) -> np.ndarray:
 
 # --- string grammar ------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^L\((\d+)\)(?:@(\d+))?$")
-_WEYL_RE = re.compile(r"^([WT])\((\d+)\)$")
-_TRIV_RE = re.compile(r"^(?:(\d+)\*)?triv$")
+# Pattern sources, compiled by re's own cache on the first parse rather
+# than by every process that imports this module.
+_FACTOR_RE = r"^L\((\d+)\)(?:@(\d+))?$"
+_WEYL_RE = r"^([WT])\((\d+)\)$"
+_TRIV_RE = r"^(?:(\d+)\*)?triv$"
 
 
 def _int(digits: str) -> int:
@@ -418,7 +430,7 @@ def _int(digits: str) -> int:
 def _parse_irr(text: str) -> IrreducibleDescriptor:
     factors = []
     for part in text.split("*"):
-        m = _FACTOR_RE.match(part)
+        m = re.match(_FACTOR_RE, part)
         if not m:
             raise DescriptorParseError(f"bad factor {part!r}")
         factors.append(IrreducibleFactor(_int(m.group(1)), _int(m.group(2) or "0")))
@@ -432,11 +444,11 @@ def parse_descriptor(text: str, p: int) -> ModuleDescriptor:
         raise DescriptorParseError("empty descriptor")
     summands: list[Summand] = []
     for term in compact.split("+"):
-        m = _TRIV_RE.match(term)
+        m = re.match(_TRIV_RE, term)
         if m:
             summands.append(Trivial(_int(m.group(1) or "1")))
             continue
-        m = _WEYL_RE.match(term)
+        m = re.match(_WEYL_RE, term)
         if m:
             kind = Weyl if m.group(1) == "W" else Tilting
             summands.append(kind(_int(m.group(2))))

@@ -283,7 +283,9 @@ _QUERIES_WITHOUT_MATRICES = [
 ]
 
 
-_STDLIB_NOT_LOADED = ("importlib.resources", "pathlib", "tempfile", "shutil", "urllib")
+_STDLIB_NOT_LOADED = (
+    "importlib.resources", "pathlib", "tempfile", "shutil", "urllib", "dataclasses", "inspect",
+)
 
 
 def test_queries_do_not_load_numpy():
@@ -291,9 +293,10 @@ def test_queries_do_not_load_numpy():
     loads ffmatrix and selfcheck, and the first matrix operation loads it.
     Without site (whose .pth files may import them anyway): the package
     loads none of its modules, atlas loads only what it needs, cli loads
-    every module, the package imports none of _STDLIB_NOT_LOADED, and the
-    queries load none of them but shutil, which argparse's help formatter
-    imports for the terminal width."""
+    every module, the package imports none of _STDLIB_NOT_LOADED (its
+    value classes are plain classes, so neither dataclasses nor inspect
+    loads), and the queries load none of them but shutil, which
+    argparse's help formatter imports for the terminal width."""
     script = f"""
 import io, sys
 from a1unicity import cli

@@ -549,3 +549,68 @@ def test_listed_descriptors_equal_validated_ones():
             again = ModuleDescriptor(c.descriptor.summands, p)
             assert c.descriptor == again
             assert c.text == format_descriptor(again)
+
+
+_PRIMES = (3, 5, 7, 11, 13, 17, 19)
+
+
+def test_enumeration_below_block_p_does_not_depend_on_p():
+    """Count, growth flag and listing text are the same at the smallest
+    prime above the largest block and at the next one, for every valid
+    partition of SL <= 12, Sp <= 14 and SO <= 13 (see the enumerator
+    docstring for why)."""
+    queries = classes = 0
+    for make, dims in ((SL, range(2, 13)), (Sp, range(4, 15, 2)), (SO, range(7, 14))):
+        for dim in dims:
+            g = make(dim)
+            for blocks in partitions_bounded(dim, dim):
+                if blocks[0] < 2:
+                    continue
+                p, q = [prime for prime in _PRIMES if prime > blocks[0]][:2]
+                try:
+                    validate(g, Partition(blocks), p)
+                except ValidationError:
+                    continue
+                form = selfcheck._FORM[g.family]
+                a = enumerate_embeddings(form, dim, blocks, p)
+                b = enumerate_embeddings(form, dim, blocks, q)
+                assert (a.count, a.growth_flag) == (b.count, b.growth_flag), (g, blocks)
+                assert list(map(str, a.classes)) == list(map(str, b.classes)), (g, blocks)
+                queries += 1
+                classes += a.count
+    assert (queries, classes) == (530, 19896)
+
+
+def test_witness_pairs_are_two_listed_classes():
+    """Each classifier witness pair with all blocks below p, at p in
+    {5, 7, 11, 13} with at most 7 trivial blocks, canonicalizes to two
+    distinct classes of the enumeration's listing for its partition.
+    Pairs with a Weyl member have no canonical form and are skipped;
+    pairs with a block of size p are outside the argument that the
+    listing does not depend on p."""
+    checked = weyl = at_p = 0
+    for p in (5, 7, 11, 13):
+        for make in (SL, Sp, SO):
+            for a in range(2, p + 1):
+                for blocks in ((a,) * head + (1,) * r for head in (1, 2) for r in range(8)):
+                    if make is Sp and sum(blocks) % 2:
+                        continue
+                    g = make(sum(blocks))
+                    pair = unicity_verdict(g, Partition(blocks), p).witness_pair
+                    if pair is None:
+                        continue
+                    if not all(d.is_completely_reducible for d in pair):
+                        weyl += 1
+                        continue
+                    if a == p:
+                        at_p += 1
+                        continue
+                    first, second = map(canonicalize, pair)
+                    listed = enumerate_embeddings(
+                        selfcheck._FORM[g.family], g.dimension, blocks, p
+                    ).classes
+                    assert first != second and first in listed and second in listed, (
+                        g, blocks, p,
+                    )
+                    checked += 1
+    assert (checked, weyl, at_p) == (56, 28, 16)

@@ -153,9 +153,9 @@ def test_trivials_merge_and_order_is_canonical():
 
 
 def test_every_summand_attribute_is_read_only():
-    # A subclass of a frozen dataclass that is not itself decorated guards
-    # only the base's fields: the cached key and text of Irr and Doubled,
-    # and any new attribute, would become assignable.
+    # A frozen base that guarded only its declared fields would leave the
+    # cached key and text of Irr and Doubled, and any new attribute,
+    # assignable.
     m = IrreducibleDescriptor((IrreducibleFactor(2, 0),))
     for summand, name in ((Irr(m), "key"), (Doubled(m), "text"),
                           (Weyl(5), "letter"), (Tilting(5), "rank")):
