@@ -5,8 +5,9 @@ For every valid partition with blocks below p on the chosen groups, run
 the completely reducible enumeration and compare against the classifier.
 Prints one row per partition and a summary; disagreements (none are
 expected) are flagged loudly.  Sp and SO run up to --max-dim; SL dimensions
-stop at 8 whatever --max-dim is.  The comparison is the one the
-classifier-vs-enumeration suite of `a1u selfcheck` makes.
+stop at 8 whatever --max-dim is.  The rows come from the generator
+that the classifier-vs-enumeration suite of `a1u selfcheck` walks, here
+at the one prime --p, and the comparison is the suite's.
 
 Usage: python scripts/rederive_classical.py [--p 5] [--max-dim 10]
 """
@@ -33,7 +34,7 @@ def main() -> int:
     }
     disagreements = 0
     total = 0
-    for g, part, v, res in classifier_vs_enumeration(args.p, dims, args.max_twist):
+    for g, part, _, v, res in classifier_vs_enumeration((args.p,), dims, args.max_twist):
         agree = agrees(v, res)
         total += 1
         disagreements += not agree

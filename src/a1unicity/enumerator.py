@@ -81,7 +81,31 @@ J(m) x J(n) with m + n - 1 <= 1 + (its weight sum) <= b < p, stays in
 the Clebsch-Gordan branch of jordan._tensor_pair_blocks.  The weights,
 the forms (the parity of the weight sum) and the twist flags do not
 see p either.  So the count, the growth flag and the listing are the
-same at every prime above the largest block, and a test pins that.
+same at every prime above the largest block.  Two tests pin that:
+test_enumeration_below_block_p_does_not_depend_on_p compares two primes
+on every partition of a small range, and
+test_shared_search_equals_the_search_at_each_prime compares each prime
+of the classifier-vs-enumeration suite.  That suite relies on it: it
+enumerates each partition once and reuses the result at every listed
+prime above the blocks.
+
+The count is of module structures with a form up to isomorphism, which
+is conjugacy of A1s under O(V); under Sp(V) and SL(V) the two agree.
+For SO(V) in odd dimension -I lies in O(V) but not SO(V) and is
+central, so they agree too.  In even dimension the O(V)-class of a
+completely reducible X splits into two SO(V)-classes iff the
+centralizer of X in O(V) lies in SO(V).  With V|X the sum of m_i copies
+of pairwise distinct irreducibles M_i, that centralizer is the product
+of O(m_i) over the orthogonal M_i and Sp(m_i) over the symplectic ones,
+and an element of it has determinant the product of det(g_i)^dim(M_i).
+An odd-dimensional M_i is orthogonal, so the O(V)-class splits iff V|X
+has no odd-dimensional summand, trivial lines included.  When it
+splits and u in X has a partition that is not very even, an element of
+determinant -1 centralizing u conjugates X to a second overgroup of u
+that is not SO(V)-conjugate to X.  So a count of 1 means Unique only
+when the one class has such a summand or the partition is very even
+(then the split moves u to its other SO(V)-class).  A test pins that
+every SO Unique verdict of the suite's range meets this.
 """
 
 from __future__ import annotations

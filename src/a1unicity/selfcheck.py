@@ -5,7 +5,10 @@ form vs. matrix oracle, classifier vs. enumeration, table vs. frozen
 expectations) and returns (ok, detail).  `a1u selfcheck` runs them all
 (a suite that raises a DomainError fails, and the rest still run), the
 acceptance tests call them, and the frozen tables here are the only
-copies.
+copies.  The classifier-vs-enumeration suite enumerates each partition
+once, at the least listed prime above its blocks, and asks the
+classifier at every listed prime above them: below block p the
+enumeration does not depend on p (see the enumerator docstring).
 """
 
 from __future__ import annotations
@@ -65,6 +68,12 @@ ORTHOGONAL_MENU_EXPECTED = {
 
 _FORM = {
     Family.SL: FormType.NONE, Family.SP: FormType.SYMPLECTIC, Family.SO: FormType.ORTHOGONAL,
+}
+
+# Criterion 7's primes and dimensions, by the quick flag.
+ENUMERATION_RANGES = {
+    False: ((5, 7, 11, 13), {SL: range(2, 13), Sp: range(4, 17, 2), SO: range(7, 16)}),
+    True: ((5, 7), {SL: range(2, 7), Sp: range(4, 9, 2), SO: range(7, 10)}),
 }
 
 # Partition menus for sums of pairwise inequivalent orthogonal
@@ -213,24 +222,34 @@ def check_dn_lists():
     return True, "n in 4..7, p in (5, 7)"
 
 
-def classifier_vs_enumeration(p: int, dims, max_twist: int = 3):
-    """Yield (group, partition, verdict, enumeration result) for every
-    valid partition with all blocks below p.  dims maps a group
-    constructor (SL, Sp or SO) to the dimensions to visit, in its order.
-    Each result holds its search memo, so the results are not kept."""
+def classifier_vs_enumeration(primes, dims, max_twist: int = 3):
+    """Yield (group, partition, p, verdict, enumeration result) for every
+    prime p of primes and every valid partition with all blocks below p.
+    dims maps a group constructor (SL, Sp or SO) to the dimensions to
+    visit, in its order; the primes are visited in their order.  Below
+    block p the enumeration does not depend on p (see the enumerator
+    docstring), so each partition is enumerated once, at the first prime
+    where it is valid, and that result comes with the classifier's
+    verdict at every prime.  Each result holds its search memo, so only
+    the current partition's is kept."""
     for make, family_dims in dims.items():
         for dim in family_dims:
             g = make(dim)
-            for blocks in partitions_bounded(dim, p - 1):
+            for blocks in partitions_bounded(dim, max(primes) - 1):
                 if blocks[0] < 2:
                     continue
                 part = Partition(blocks)
-                try:
-                    validate(g, part, p)
-                except ValidationError:
-                    continue
-                result = enumerate_embeddings(_FORM[g.family], dim, part, p, max_twist)
-                yield g, part, unicity_verdict(g, part, p), result
+                result = None
+                for p in primes:
+                    if p <= blocks[0]:
+                        continue
+                    try:
+                        validate(g, part, p)
+                    except ValidationError:
+                        continue
+                    if result is None:
+                        result = enumerate_embeddings(_FORM[g.family], dim, part, p, max_twist)
+                    yield g, part, p, unicity_verdict(g, part, p), result
 
 
 def agrees(verdict, result) -> bool:
@@ -244,22 +263,15 @@ def check_classifier_vs_enumeration(quick: bool = False):
     """Classifier verdict Unique iff exactly one stable enumeration class,
     and NonUnique otherwise, for every valid partition with all blocks
     below p."""
-    if quick:
-        primes = (5, 7)
-        dims = {SL: range(2, 7), Sp: range(4, 9, 2), SO: range(7, 10)}
-    else:
-        primes = (5, 7, 11, 13)
-        dims = {SL: range(2, 13), Sp: range(4, 17, 2), SO: range(7, 16)}
     cases = 0
-    for p in primes:
-        for g, part, verdict, res in classifier_vs_enumeration(p, dims):
-            if not agrees(verdict, res):
-                return False, (
-                    f"{g} blocks ({part}) p = {p}: classifier "
-                    f"{verdict.kind.value}, enumeration count {res.count} "
-                    f"growth {res.growth_flag}"
-                )
-            cases += 1
+    for g, part, p, verdict, res in classifier_vs_enumeration(*ENUMERATION_RANGES[quick]):
+        if not agrees(verdict, res):
+            return False, (
+                f"{g} blocks ({part}) p = {p}: classifier "
+                f"{verdict.kind.value}, enumeration count {res.count} "
+                f"growth {res.growth_flag}"
+            )
+        cases += 1
     return True, f"{cases} partition queries agree"
 
 

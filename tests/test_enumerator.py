@@ -21,6 +21,7 @@ from a1unicity.errors import (
     InvalidQueryError,
     NotCompletelyReducibleError,
     ValidationError,
+    VerdictKind,
 )
 from a1unicity.ffmatrix import PrimeField
 from a1unicity.jordan import jordan_type_of_unipotent, tensor_multi
@@ -333,8 +334,8 @@ def test_sp26_and_sp28_at_p13_are_answered_and_agree():
     below p fits the search budget, and the classifier agrees with the
     enumeration on it; so does one of Sp(36) near the budget."""
     queries = 0
-    for g, part, verdict, res in selfcheck.classifier_vs_enumeration(
-        13, {Sp: (26, 28)}
+    for g, part, _, verdict, res in selfcheck.classifier_vs_enumeration(
+        (13,), {Sp: (26, 28)}
     ):
         assert selfcheck.agrees(verdict, res), (g, part)
         queries += 1
@@ -579,6 +580,67 @@ def test_enumeration_below_block_p_does_not_depend_on_p():
                 queries += 1
                 classes += a.count
     assert (queries, classes) == (530, 19896)
+
+
+def test_shared_search_equals_the_search_at_each_prime():
+    """Criterion 7 enumerates each partition once and reuses the result
+    at every listed prime above its blocks.  At each (group, partition,
+    p) the full suite visits, the search run at that very p gives the
+    same count and growth flag.  This reaches Sp 16 and SO 14-15, which
+    the test above does not."""
+    queries = searches = 0
+    shared = None
+    for g, part, p, _, res in selfcheck.classifier_vs_enumeration(
+        *selfcheck.ENUMERATION_RANGES[False]
+    ):
+        if res is not shared:
+            shared, searches = res, searches + 1
+        own = enumerate_embeddings(selfcheck._FORM[g.family], g.dimension, part, p)
+        assert (own.count, own.growth_flag) == (res.count, res.growth_flag), (g, part, p)
+        queries += 1
+    assert (queries, searches) == (2340, 717)
+
+
+def test_classifier_vs_enumeration_searches_each_partition_once(monkeypatch):
+    """The full suite makes 717 searches for its 2,340 queries and the
+    quick one 68 for 124; searching again at every prime would fail."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_embeddings(*args)
+
+    monkeypatch.setattr(selfcheck, "enumerate_embeddings", counted)
+    for quick, searches in ((False, 717), (True, 68)):
+        calls.clear()
+        assert selfcheck.check_classifier_vs_enumeration(quick)[0]
+        assert len(calls) == searches, quick
+
+
+def test_so_unique_classes_do_not_split_under_so():
+    """Every SO Unique verdict of criterion 7's SO range lists one class,
+    and that class has an odd-dimensional irreducible summand (an Irr,
+    the module of a Doubled, or a trivial line), or the partition is
+    very even.  So its O(V)-class is one SO(V)-class, or the split only
+    moves u to its other SO-class (see the enumerator docstring)."""
+    primes, dims = selfcheck.ENUMERATION_RANGES[False]
+    unique = odd = very_even = 0
+    for g, part, p, verdict, res in selfcheck.classifier_vs_enumeration(
+        primes, {SO: dims[SO]}
+    ):
+        if verdict.kind is not VerdictKind.UNIQUE:
+            continue
+        (cls,) = res.classes
+        unique += 1
+        if any(
+            isinstance(s, Trivial) or s.module.dimension % 2
+            for s in cls.descriptor.summands
+        ):
+            odd += 1
+        else:
+            assert all(b % 2 == 0 for b in part.parts), (g, part, p, cls)
+            very_even += 1
+    assert (unique, odd, very_even) == (144, 137, 7)
 
 
 def test_witness_pairs_are_two_listed_classes():
