@@ -26,7 +26,8 @@ overflowing, and above MAX_DIMENSION rows or columns; kronecker and
 sym_power need (p-1)^2 < 2^63.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
-blocks, Kronecker products, symmetric powers of the standard unipotent)
+blocks, Kronecker products, and symmetric powers of the standard
+unipotent, which are Pascal matrices of binomial coefficients mod p)
 have entries in GF(p), and the Frobenius endomorphism fixes them.
 
 numpy is imported by each function that builds or reduces a matrix, on
@@ -352,53 +353,33 @@ def rank(a: np.ndarray, field: PrimeField) -> int:
     return int(_echelon(field.reduce(a), field).shape[0])
 
 
-def _multiply_linear_power(
-    coeffs: np.ndarray, alpha: int, beta: int, k: int, p: int
-) -> np.ndarray:
-    """Multiply a binary-form coefficient vector by (alpha*x + beta*y)^k.
+def sym_power(c: int, field: PrimeField) -> np.ndarray:
+    """Action of the standard unipotent u = [[1,1],[0,1]] on the degree-c
+    part of the symmetric algebra on two generators, in the monomial
+    basis x^c, x^(c-1)y, ..., y^c.
 
-    Coefficients are indexed by y-degree.
-    """
-    import numpy as np
+    u sends x^(c-j) y^j to x^(c-j) (x+y)^j, so entry (i, j) is
+    C(j, i) mod p: the matrix is built one column at a time by Pascal's
+    rule.  It realizes the irreducible module of highest weight c when
+    c <= p-1, and for p <= c <= 2p-2 its Jordan type matches the Weyl
+    module of highest weight c (blocks of sizes p and c-p+1).
 
-    for _ in range(k):
-        new = np.zeros(coeffs.size + 1, dtype=np.int64)
-        new[: coeffs.size] = (alpha * coeffs) % p
-        new[1:] = (new[1:] + beta * coeffs) % p
-        coeffs = new
-    return coeffs
-
-
-def sym_power(a: np.ndarray, c: int, field: PrimeField) -> np.ndarray:
-    """Action induced on the degree-c part of the symmetric algebra on two
-    generators, in the monomial basis x^c, x^(c-1)y, ..., y^c.
-
-    For the standard unipotent u = [[1,1],[0,1]] this realizes the
-    irreducible module of highest weight c when c <= p-1, and for
-    p <= c <= 2p-2 its Jordan type matches the Weyl module of highest
-    weight c (blocks of sizes p and c-p+1).
-
-    Each step adds one product of reduced entries to a reduced entry,
-    which stays below 2^63 whenever (p-1)^2 < 2^63; larger p raise
-    ShapeError.
+    Each step adds two reduced entries, which cannot overflow, but p
+    must satisfy the (p-1)^2 < 2^63 of kronecker, which the tensor
+    products of these matrices need, so that a module with one factor
+    and one with several are refused alike; larger p raise ShapeError.
     """
     import numpy as np
 
     _check_int64_exact(1, field.p)
-    a = field.reduce(a)
-    if a.shape != (2, 2):
-        raise ShapeError(f"sym_power expects a 2x2 matrix, got {a.shape}")
     if c < 0:
         raise ShapeError(f"negative exponent {c}")
-    p = field.p
     n = c + 1
     out = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        # image of x^(c-j) y^j under x -> a00 x + a10 y, y -> a01 x + a11 y
-        poly = np.ones(1, dtype=np.int64)
-        poly = _multiply_linear_power(poly, int(a[0, 0]), int(a[1, 0]), c - j, p)
-        poly = _multiply_linear_power(poly, int(a[0, 1]), int(a[1, 1]), j, p)
-        out[: poly.size, j] = poly
+    out[0] = 1  # C(j, 0)
+    for j in range(1, n):
+        # C(j, i) = C(j-1, i) + C(j-1, i-1); both vanish below the diagonal
+        out[1:, j] = (out[1:, j - 1] + out[:-1, j - 1]) % field.p
     return out
 
 

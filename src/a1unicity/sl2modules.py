@@ -34,7 +34,9 @@ equality and hashing, and an enumeration listing shares one of each per
 atom.  Weyl and Tilting share _HighWeight.  Nothing is cached on
 IrreducibleDescriptor.  ModuleDescriptor._checked builds a descriptor
 from summands already checked, merged and sorted, as an enumeration
-listing has them, without checking them again.
+listing has them, without checking them again.  matrices(field)
+returns the summand's diagonal blocks for realize, built from
+ffmatrix.sym_power, the symmetric powers of the standard unipotent.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .errors import (
     DescriptorParseError,
     Frozen,
     NotRealizableError,
-    ShapeError,
     WeightError,
 )
 from .ffmatrix import PrimeField
@@ -187,11 +188,11 @@ class _IrrCopies(Frozen):
     def check_realizable(self, p: int) -> None:
         ffmatrix._check_int64_exact(1, p)
 
-    def matrices(self, u, field) -> list:
+    def matrices(self, field) -> list:
         factors = self.module.factors
-        out = ffmatrix.sym_power(u, factors[0].weight, field)
+        out = ffmatrix.sym_power(factors[0].weight, field)
         for f in factors[1:]:
-            out = ffmatrix.kronecker(out, ffmatrix.sym_power(u, f.weight, field), field)
+            out = ffmatrix.kronecker(out, ffmatrix.sym_power(f.weight, field), field)
         return [out] * self.copies
 
 
@@ -229,6 +230,11 @@ class _HighWeight(Frozen):
     def sort_key(self, p: int):
         return (False, -self.dimension(p), self.rank, (self.weight, (), ()))
 
+    def check_realizable(self, p: int) -> None:
+        # the weight is at least p, so the dimension bound refuses the
+        # module long before (p-1)^2 reaches 2^63
+        pass
+
     @property
     def text(self) -> str:
         return f"{self.letter}({self.weight})"
@@ -240,11 +246,8 @@ class Weyl(_HighWeight):
     def blocks(self, p: int) -> tuple[int, ...]:
         return (p, self.weight - p + 1)
 
-    def check_realizable(self, p: int) -> None:
-        ffmatrix._check_int64_exact(1, p)
-
-    def matrices(self, u, field) -> list:
-        return [ffmatrix.sym_power(u, self.weight, field)]
+    def matrices(self, field) -> list:
+        return [ffmatrix.sym_power(self.weight, field)]
 
 
 class Tilting(_HighWeight):
@@ -291,7 +294,7 @@ class Trivial(Frozen):
     def check_realizable(self, p: int) -> None:
         pass
 
-    def matrices(self, u, field) -> list:
+    def matrices(self, field) -> list:
         return [ffmatrix.identity(self.multiplicity)]
 
 
@@ -381,15 +384,11 @@ def check_realizable(d: ModuleDescriptor) -> None:
 
     Modules above ffmatrix.MAX_DIMENSION raise ShapeError; Tilting
     summands carry no matrix model here and raise NotRealizableError;
-    any summand built from symmetric powers needs (p-1)^2 < 2^63 for
-    exact int64 products and raises ShapeError otherwise.
+    Irr and Doubled summands need (p-1)^2 < 2^63 for exact int64
+    products and raise ShapeError otherwise.  A Weyl summand that large
+    never gets that far: the dimension bound refuses it first.
     """
-    dim = dimension(d)
-    if dim > ffmatrix.MAX_DIMENSION:
-        raise ShapeError(
-            f"module dimension {dim} exceeds the configured bound "
-            f"{ffmatrix.MAX_DIMENSION}"
-        )
+    ffmatrix._check_dimension("module", dimension(d))
     for s in d.summands:
         s.check_realizable(d.p)
 
@@ -404,8 +403,7 @@ def realize(d: ModuleDescriptor) -> np.ndarray:
     """
     check_realizable(d)
     field = PrimeField(d.p)
-    u = ffmatrix.unipotent_jordan_block(field, 2)
-    blocks = [m for s in d.summands for m in s.matrices(u, field)]
+    blocks = [m for s in d.summands for m in s.matrices(field)]
     return ffmatrix.block_diagonal(blocks, field)
 
 

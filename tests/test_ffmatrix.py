@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -61,35 +62,44 @@ def test_kronecker_identities():
 
 def test_sym_power_degree_two_matrix():
     f5 = PrimeField(5)
-    u = unipotent_jordan_block(f5, 2)
-    assert np.array_equal(sym_power(u, 2, f5), [[1, 1, 1], [0, 1, 2], [0, 0, 1]])
+    assert np.array_equal(sym_power(2, f5), [[1, 1, 1], [0, 1, 2], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
+def test_sym_power_is_pascal_mod_p(p):
+    """Entry (i, j) is C(j, i) mod p: u sends x^(c-j) y^j to
+    x^(c-j) (x+y)^j."""
+    field = PrimeField(p)
+    for c in range(2 * p - 1):
+        got = sym_power(c, field)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            [math.comb(j, i) % p for j in range(c + 1)] for i in range(c + 1)
+        ]
 
 
 def test_sym_power_jordan_types():
     f5 = PrimeField(5)
-    u = unipotent_jordan_block(f5, 2)
-    assert jordan_block_sizes(sym_power(u, 4, f5), f5) == (5,)
-    assert jordan_block_sizes(sym_power(u, 8, f5), f5) == (5, 4)
+    assert jordan_block_sizes(sym_power(4, f5), f5) == (5,)
+    assert jordan_block_sizes(sym_power(8, f5), f5) == (5, 4)
     f7 = PrimeField(7)
-    u7 = unipotent_jordan_block(f7, 2)
-    assert jordan_block_sizes(sym_power(u7, 3, f7), f7) == (4,)
+    assert jordan_block_sizes(sym_power(3, f7), f7) == (4,)
 
 
-def test_sym_power_rejects_bad_shape():
+def test_sym_power_rejects_negative_degree():
     f5 = PrimeField(5)
     with pytest.raises(ShapeError):
-        sym_power(ffmatrix.identity(3), 2, f5)
+        sym_power(-1, f5)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_sym_power_block_structure_all_degrees(p):
     field = PrimeField(p)
-    u = unipotent_jordan_block(field, 2)
     for c in range(p):
-        assert jordan_block_sizes(sym_power(u, c, field), field) == (c + 1,)
+        assert jordan_block_sizes(sym_power(c, field), field) == (c + 1,)
     for c in range(p, 2 * p - 1):
         expected = tuple(sorted((p, c - p + 1), reverse=True))
-        assert jordan_block_sizes(sym_power(u, c, field), field) == expected
+        assert jordan_block_sizes(sym_power(c, field), field) == expected
 
 
 def test_jordan_type_identity_and_products():
@@ -221,13 +231,10 @@ def test_kronecker_and_sym_power_reject_int64_overflow():
     with pytest.raises(ShapeError):
         kronecker([[field.p - 1]], [[field.p - 1]], field)
     with pytest.raises(ShapeError):
-        sym_power(np.array([[field.p - 1, 1], [2, field.p - 1]]), 2, field)
+        sym_power(2, field)
     field = PrimeField(2147483647)  # (p - 1)^2 < 2^63: exact
     assert kronecker([[field.p - 1]], [[field.p - 1]], field).tolist() == [[1]]
-    (a00, a01), (a10, a11) = a = [[field.p - 1, 1], [2, field.p - 1]]
-    # x^2 -> (a00 x + a10 y)^2, in the basis x^2, xy, y^2
-    want = [a00 * a00 % field.p, 2 * a00 * a10 % field.p, a10 * a10 % field.p]
-    assert sym_power(np.array(a), 2, field)[:, 0].tolist() == want
+    assert sym_power(2, field).tolist() == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
 
 
 def test_is_prime_agrees_with_trial_division_below_200000():
