@@ -89,7 +89,8 @@ class EmptyMatrixError(DomainError):
 
 
 class ShapeError(DomainError):
-    """Matrix shape incompatible with the requested operation."""
+    """Matrix shape, size or entries incompatible with the requested
+    operation, including an entry that is not an integer."""
 
 
 class NotOrderPError(DomainError):

@@ -8,10 +8,10 @@ elimination in exact modular arithmetic.
 Elimination runs in int64, whose products of two reduced entries stay
 below 2^63 while (p-1)^2 < 2^63.  It visits only the columns that are
 nonzero in some row (a row operation never fills a column that is zero
-in every row), clears each pivot column with the multiplier
-m[i, c] * pivot^-1 mod p, and leaves pivot rows unscaled: its rows have
-strictly increasing leading columns and span the row space, which is
-all that rank reads and all that _reduced_echelon starts from.
+in every row), scales each pivot row to a leading 1 and clears its
+column with the multiplier m[i, c]: its rows have strictly increasing
+leading columns with entry 1 and span the row space, which is all that
+rank reads and all that _reduced_echelon starts from.
 
 The Jordan-type oracle walks the kernel chain ker N < ker N^2 < ... of
 N = m - I (see jordan_block_sizes): one elimination of the n x 2n matrix
@@ -123,10 +123,25 @@ class PrimeField(Frozen):
         object.__setattr__(self, "p", p)
 
     def reduce(self, a) -> np.ndarray:
-        """Return a as an int64 array with entries in 0..p-1."""
+        """Return a as an int64 array with entries in 0..p-1.
+
+        Integer entries of any size are reduced exactly.  Any other entry
+        (a float, a complex number, a string, ...) raises ShapeError: a
+        cast to int64 would truncate, drop or parse it.
+        """
         import numpy as np
 
-        return np.asarray(a, dtype=np.int64) % self.p
+        a = np.asarray(a)
+        if a.dtype.kind in "bi":
+            return a.astype(np.int64, copy=False) % self.p
+        # any other array is checked entry by entry; unsigned and Python
+        # integers may exceed int64, so they are reduced as Python integers
+        for x in a.flat:
+            if not isinstance(x, (int, np.integer, np.bool_)):
+                raise ShapeError(
+                    f"matrix entries must be integers, not {type(x).__name__}"
+                )
+        return (a.astype(object) % self.p).astype(np.int64)
 
     def inverse(self, a: int) -> int:
         a = int(a) % self.p
@@ -158,10 +173,9 @@ def unipotent_jordan_block(field: PrimeField, m: int) -> np.ndarray:
         raise OrderExceedsPError(
             f"block size {m} > p = {field.p} forces order p^2 or higher"
         )
-    a = identity(m)
-    for i in range(m - 1):
-        a[i, i + 1] = 1
-    return a
+    import numpy as np
+
+    return identity(m) + np.eye(m, k=1, dtype=np.int64)
 
 
 def kronecker(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
@@ -179,11 +193,11 @@ def kronecker(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
     return np.kron(a, b) % field.p
 
 
-def block_diagonal(blocks, field: PrimeField) -> np.ndarray:
-    """Assemble square blocks into one block-diagonal matrix mod p."""
+def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """Assemble square int64 blocks, already reduced mod p as every matrix
+    built here is, into one block-diagonal matrix."""
     import numpy as np
 
-    blocks = [field.reduce(b) for b in blocks]
     if not blocks:
         raise EmptyMatrixError("no blocks given")
     n = sum(b.shape[0] for b in blocks)
@@ -219,8 +233,8 @@ def _echelon(m: np.ndarray, field: PrimeField, width: int | None = None) -> np.n
     m must be int64 with entries in 0..p-1; it is overwritten.  Pivots
     are sought in the first `width` columns only (all of them by default)
     and the columns beyond are carried along.  Returns the first r rows
-    of m, one unscaled row per pivot, with strictly increasing leading
-    columns; the rows below them are zero in the first `width` columns.
+    of m, one per pivot, with leading entry 1 and strictly increasing
+    leading columns; the rows below them are zero in the first `width` columns.
     """
     import numpy as np
 
@@ -242,10 +256,12 @@ def _echelon(m: np.ndarray, field: PrimeField, width: int | None = None) -> np.n
         # after the swap, row i is zero in column c, so the rows still to
         # clear are the other pivots; entries left of c vanish in rows r..
         below = pivots[1:] + r
+        if m[r, c] != 1:
+            m[r, c:] *= field.inverse(m[r, c])
+            m[r, c:] %= p
         if below.size:
-            factor = m[below, c] * field.inverse(m[r, c]) % p
             block = m[below, c:]
-            block -= factor[:, None] * m[r, c:]
+            block -= m[below, c, None] * m[r, c:]
             block %= p
             m[below, c:] = block
         r += 1
@@ -263,19 +279,17 @@ def _product_dtype(n: int, p: int):
     return np.float64 if n * (p - 1) ** 2 < _FLOAT64_EXACT else np.int64
 
 
-def _product(a: np.ndarray, b: np.ndarray, p: int, dtype) -> np.ndarray:
-    """a @ b mod p as int64, for a and b with entries in 0..p-1.
+def _product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """The exact product a @ b as int64, for a and b with entries in 0..p-1.
 
     Computed in dtype, which must be _product_dtype(k, p) for a k at
-    least the inner dimension.
+    least the inner dimension.  Callers reduce it mod p once, in int64,
+    whose remainder is several times faster than float64's.
     """
     import numpy as np
 
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    # int64 remainder is several times faster than float64's
-    out = out.astype(np.int64, copy=False)
-    out %= p
-    return out
+    return out.astype(np.int64, copy=False)
 
 
 def _reduced_echelon(
@@ -283,11 +297,11 @@ def _reduced_echelon(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row-echelon basis of the row space of m over GF(p).
 
-    Runs _echelon(m, field, width), then back-substitutes bottom-up in
-    slabs of _SLAB rows, by products only: one clears a slab's entries in
-    the pivot columns of the finished rows below it; the slab is scaled
-    to unit pivots, so that its triangle of pivot columns is I + S with S
-    strictly upper triangular; and it is multiplied by
+    Runs _echelon(m, field, width), whose pivots are 1, then
+    back-substitutes bottom-up in slabs of _SLAB rows, by products only:
+    one clears a slab's entries in the pivot columns of the finished rows
+    below it, which leaves its triangle of pivot columns I + S with S
+    strictly upper triangular; and the slab is multiplied by
     (I + S)^-1 = (I - S)(I + S^2)(I + S^4)..., which ends because S is
     nilpotent.  dtype must be _product_dtype(k, p) for a k at least the
     row count of m, which bounds the inner dimension of every product.
@@ -303,8 +317,6 @@ def _reduced_echelon(
     rows = _echelon(m, field, width)
     r = rows.shape[0]
     lead = (rows[:, :width] != 0).argmax(axis=1)  # first nonzero of each row
-    # the pivots keep their values until their slab is scaled
-    scale = [field.inverse(x) for x in rows[np.arange(r), lead].tolist()]
     out = rows.view(dtype)
     for lo in range((r - 1) // _SLAB * _SLAB, -1, -_SLAB):
         slab = rows[lo : lo + _SLAB]
@@ -314,11 +326,8 @@ def _reduced_echelon(
         if hi < r:
             below = slab[:, lead[hi:]]
             if below.any():
-                slab -= _product(below, out[hi:], p, dtype)
+                slab -= _product(below, out[hi:], dtype)
                 slab %= p
-        if any(x != 1 for x in scale[lo:hi]):
-            slab *= np.array(scale[lo:hi])[:, None]
-            slab %= p
         diagonal = np.arange(hi - lo)
         power = slab[:, lead[lo:hi]]  # I + S
         power[diagonal, diagonal] = 0
@@ -327,12 +336,13 @@ def _reduced_echelon(
             inverse = power.copy()
             inverse[diagonal, diagonal] = 1
             while True:
-                power = _product(power, power, p, dtype)
+                power = _product(power, power, dtype) % p
                 if not power.any():
                     break
-                inverse += _product(inverse, power, p, dtype)
+                # both are triangular, so the sum stays below n*(p-1)^2
+                inverse += _product(inverse, power, dtype)
                 inverse %= p
-            slab[:] = _product(inverse, slab, p, dtype)
+            np.remainder(_product(inverse, slab, dtype), p, out=slab)
         out[lo:hi] = slab  # converts the slab's memory to dtype
     return out, lead
 
@@ -417,15 +427,13 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     _check_int64_exact(n, p)
     if n == 0:
         raise EmptyMatrixError("jordan type of a 0 x 0 matrix requested")
-    nil = field.reduce(m)
     dtype = _product_dtype(n, p)
     # [N | I] with N = m - I
     aug = np.zeros((n, 2 * n), dtype=np.int64)
-    aug[:, :n] = nil
+    aug[:, :n] = field.reduce(m)
     diagonal = np.arange(n)
-    aug[diagonal, diagonal] = (nil.diagonal() - 1) % p
+    aug[diagonal, diagonal] = (aug[diagonal, diagonal] - 1) % p
     aug[diagonal, n + diagonal] = 1
-    del nil
     reduced, pivot = _reduced_echelon(aug, field, n, dtype)
     r = reduced.shape[0]
     kappa = n - r
@@ -445,7 +453,7 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     z = np.empty((kappa, kappa + r), dtype=np.int64)
     z[:, :kappa] = left[:, free].T
     z[:, kappa:] = reduced[:, n + free].T
-    z -= _product(reduced[:, free].T, step_map, p, dtype)
+    z -= _product(reduced[:, free].T, step_map, dtype)
     z %= p
     del aug, reduced, left
     kept = np.zeros((0, kappa + r), dtype=np.int64)  # [image | preimage] rows
@@ -469,17 +477,17 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
         # the image columns), then keep the independent rest
         killed = z[:, kappa:]
         if z[:, :kappa].any():
-            z -= _product(z[:, kept_pivot], kept, p, dtype)
+            z -= _product(z[:, kept_pivot], kept, dtype)
             z %= p
             found, lead = _reduced_echelon(z, field, kappa, dtype)
-            kept -= _product(kept[:, lead], found, p, dtype)
+            kept -= _product(kept[:, lead], found, dtype)
             kept %= p
             kept = np.concatenate((kept, found.astype(np.int64)))
             kept_pivot = np.concatenate((kept_pivot, lead))
             killed = z[found.shape[0] :, kappa:]
         # the rest have image 0, so they lie in im N, and their preimages
         # are the new vectors of ker N^(s+1)
-        z = _product(killed, step_map, p, dtype)
+        z = _product(killed, step_map, dtype) % p
         rank_s -= killed.shape[0]
         s += 1
     at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]

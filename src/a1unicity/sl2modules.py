@@ -404,7 +404,7 @@ def realize(d: ModuleDescriptor) -> np.ndarray:
     check_realizable(d)
     field = PrimeField(d.p)
     blocks = [m for s in d.summands for m in s.matrices(field)]
-    return ffmatrix.block_diagonal(blocks, field)
+    return ffmatrix.block_diagonal(blocks)
 
 
 # --- string grammar ------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -271,11 +272,55 @@ def test_is_prime_refuses_beyond_its_exact_range():
         PrimeField(10**25 + 7)
 
 
-def test_block_diagonal_rejects_oversized_result():
+def test_reduce_refuses_float_entries():
+    # a cast would truncate 1.5 to 1 and answer (2,)
+    with pytest.raises(ShapeError) as err:
+        jordan_block_sizes(np.array([[1.5, 1.0], [0.0, 1.0]]), PrimeField(5))
+    assert str(err.value) == "matrix entries must be integers, not float64"
+
+
+def test_reduce_refuses_complex_entries_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast would warn and drop the imaginary part
+        with pytest.raises(ShapeError) as err:
+            jordan_block_sizes(np.array([[1 + 1j, 1], [0, 1]]), PrimeField(5))
+    assert "\n" not in str(err.value)
+
+
+def test_reduce_is_exact_on_integers_beyond_int64():
     field = PrimeField(5)
-    assert block_diagonal([identity(2), identity(1)], field).shape == (3, 3)
+    assert jordan_block_sizes([[1, 10**30], [0, 1]], field) == (1, 1)
+    assert jordan_block_sizes([[1, 10**30 + 1], [0, 1]], field) == (2,)
+    assert rank([[10**30 + 2, 2**64 + 3]], field) == 1
+    big = np.array([[1, 2**64 - 6], [0, 1]], dtype=np.uint64)  # 2^64 - 6 = 0 mod 5
+    assert jordan_block_sizes(big, field) == (1, 1)
+
+
+def test_reduce_refuses_string_entries():
+    with pytest.raises(ShapeError) as err:
+        jordan_block_sizes([["1", "1"], ["0", "1"]], PrimeField(5))
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("p", [13, 100000007])
+def test_product_is_the_exact_integer_product(p):
+    rng = np.random.default_rng(p)
+    for k in (1, 7, 40):
+        a = rng.integers(0, p, (5, k))
+        b = rng.integers(0, p, (k, 6))
+        want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.tolist())]
+                for row in a.tolist()]
+        # the float64 path where it is exact, and the int64 path
+        for dtype in {ffmatrix._product_dtype(k, p), np.int64}:
+            got = ffmatrix._product(a, b, dtype)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+
+def test_block_diagonal_rejects_oversized_result():
+    assert block_diagonal([identity(2), identity(1)]).shape == (3, 3)
     with pytest.raises(ShapeError):
-        block_diagonal([identity(MAX_DIMENSION), identity(1)], field)
+        block_diagonal([identity(MAX_DIMENSION), identity(1)])
 
 
 def _reference_echelon(rows, p):
@@ -326,6 +371,7 @@ def test_echelon_matches_reference_elimination(case):
     assert all(0 <= x < p for row in got for x in row)
     leads = [next(c for c, x in enumerate(row) if x) for row in got]
     assert leads == sorted(set(leads))  # strictly increasing, so rows are nonzero
+    assert [row[c] for row, c in zip(got, leads)] == [1] * len(got)
     # equal rank and no growth when stacked: the two row spaces coincide
     assert len(_reference_echelon(got + want, p)) == len(want)
 

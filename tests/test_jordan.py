@@ -69,8 +69,7 @@ def test_tensor_extends_bilinearly():
     # independent route: block-diagonal matrix, Kronecker, rank sequence
     f5 = PrimeField(5)
     left = ffmatrix.block_diagonal(
-        [ffmatrix.unipotent_jordan_block(f5, 3), ffmatrix.unipotent_jordan_block(f5, 1)],
-        f5,
+        [ffmatrix.unipotent_jordan_block(f5, 3), ffmatrix.unipotent_jordan_block(f5, 1)]
     )
     prod = ffmatrix.kronecker(left, ffmatrix.unipotent_jordan_block(f5, 2), f5)
     oracle = jordan_type_of_unipotent(prod, f5)
