@@ -74,6 +74,29 @@ min(p, 1 + its weight sum), so when every block is below p only the
 weight tuples adding up to less than the largest block are walked.  A
 listing builds at most MAX_LISTED classes.
 
+count_table answers every partition up to a dimension bound D at once:
+a partition's count is a coefficient of a product with one factor per
+group.  It keeps a table from block multisets (the atoms' own 1-blocks
+included) to tallies by flag union, starting from the empty multiset,
+and multiplies in the rows of _group_table(p, max_twist, D, D) one at a
+time: K copies of a group move a multiset's tally to the multiset plus
+K times the group's blocks, weighted by _branch_weights as in the
+search.  It then reads each multiset out with every admissible trivial
+remainder that fits in D, and adds the all-trivial structure; a
+partition's count and growth flag come from its summed tally exactly
+as in the search.  Each (multiset, K) pair of the product is a step,
+and each step reaches at most one new multiset, so refusing past
+MAX_SEARCH steps also bounds the table, and bounds the work where few
+multisets take many copies each (p = 2).  The weight tuples, and the
+(multiset, trivial remainder) pairs to read out, are bounded by
+MAX_SEARCH too, each before its pass starts.  The table shares
+the atom groups (_group_table) and the ways per flag union
+(_branch_weights) with the search; what it derives again is the
+composition: the search's memoized recursion over remaining blocks,
+its stuck-state pruning and its chaining of skipped groups.
+enumerate_embeddings keeps the search, since the listing walks its
+memo.
+
 Below block p the enumeration does not depend on p.  With every block
 below p, the search walks only the atoms whose weights add up to less
 than the largest block b.  Every tensor product such an atom forms,
@@ -603,6 +626,24 @@ class _Search:
         return tuple(sorted(out, key=EmbeddingClass.sort_key))
 
 
+def _check_query(form: FormType, p: int, max_twist: int, dim: int = 0, blocks=()) -> None:
+    """Refuse, with a one-line InvalidQueryError, what neither
+    enumerate_embeddings (which passes its partition) nor count_table can
+    answer."""
+    if not is_prime(p):
+        raise InvalidQueryError(f"{p} is not prime")
+    if form is not FormType.NONE and p == 2:
+        raise InvalidQueryError("forms need odd characteristic")
+    if form is FormType.EITHER:
+        raise InvalidQueryError("enumerate by a concrete form, or FormType.NONE")
+    if sum(blocks) != dim:
+        raise InvalidQueryError(f"partition sums to {sum(blocks)}, dim is {dim}")
+    if any(b > p for b in blocks):
+        raise InvalidQueryError("blocks above p never have order p")
+    if max_twist < 1:
+        raise InvalidQueryError("max_twist must be >= 1")
+
+
 def enumerate_embeddings(
     form: FormType,
     dim: int,
@@ -628,18 +669,7 @@ def enumerate_embeddings(
     MAX_SEARCH raise InvalidQueryError before anything is built.
     """
     blocks = tuple(partition.parts) if hasattr(partition, "parts") else tuple(partition)
-    if not is_prime(p):
-        raise InvalidQueryError(f"{p} is not prime")
-    if form is not FormType.NONE and p == 2:
-        raise InvalidQueryError("forms need odd characteristic")
-    if form is FormType.EITHER:
-        raise InvalidQueryError("enumerate by a concrete form, or FormType.NONE")
-    if sum(blocks) != dim:
-        raise InvalidQueryError(f"partition sums to {sum(blocks)}, dim is {dim}")
-    if any(b > p for b in blocks):
-        raise InvalidQueryError("blocks above p never have order p")
-    if max_twist < 1:
-        raise InvalidQueryError("max_twist must be >= 1")
+    _check_query(form, p, max_twist, dim, blocks)
 
     target = dict(Counter(blocks))
     states = prod(m + 1 for m in target.values())
@@ -689,20 +719,101 @@ def enumerate_embeddings(
     return EnumerationResult(count, max_twist, growing, search.classes)
 
 
+def count_table(
+    form: FormType,
+    max_dim: int,
+    p: int,
+    max_twist: int = 3,
+    distinct_irr: bool = False,
+) -> dict[tuple[int, ...], tuple[int, bool]]:
+    """(count, growth_flag) of enumerate_embeddings(form, sum(blocks),
+    blocks, p, max_twist, distinct_irr) for every partition blocks of
+    dimension <= max_dim, descending, whose count is nonzero, from one
+    product over the atom groups (see the module docstring).
+
+    Refuses what enumerate_embeddings refuses whatever the partition, and
+    raises InvalidQueryError as soon as the weight tuples, the product's
+    steps or the (multiset, trivial remainder) pairs to read out pass
+    MAX_SEARCH.
+    """
+    _check_query(form, p, max_twist)
+
+    def too_large(what):
+        return InvalidQueryError(
+            f"table too large: more than {MAX_SEARCH} {what} of dimension <= {max_dim}"
+        )
+
+    if len(_tuples(p, max_twist, max_dim, max_dim)) > MAX_SEARCH:
+        raise too_large("weight tuples")
+    # a multiset of blocks is coded as the sum of count * base**(size - 1):
+    # no size occurs more than max_dim times
+    base = max_dim + 1
+    places = [(size, base ** (size - 1)) for size in range(min(p, max_dim), 0, -1)]
+    tallies = {0: _LEAF}  # code -> completions by twist-flag union
+    dims = {0: 0}  # code -> dimension
+    steps = 0
+    for jordan, atom_form, _, flag_counts in _group_table(p, max_twist, max_dim, max_dim):
+        lone_ok = form is FormType.NONE or atom_form is form
+        if distinct_irr and not lone_ok:
+            continue  # every summand would have to be a lone copy
+        shift = sum(n * base ** (size - 1) for size, n in jordan)  # one copy's code
+        dim = sum(size * n for size, n in jordan)
+        # with distinct_irr no more copies than atoms
+        most = sum(flag_counts) if distinct_irr else max_dim
+        grown = dict(tallies)  # k = 0
+        for at, tally in tallies.items():
+            for k in range(1, min(most, (max_dim - dims[at]) // dim) + 1):
+                weights = _branch_weights(flag_counts, lone_ok, distinct_irr, k)
+                if not weights:
+                    continue
+                steps += 1
+                if steps > MAX_SEARCH:
+                    raise too_large("steps to block multisets")
+                to = at + k * shift
+                acc = list(grown.get(to, _NONE))
+                for union, ways in weights:
+                    for u, n in enumerate(tally):
+                        if n:
+                            acc[u | union] += ways * n
+                grown[to] = tuple(acc)
+                dims[to] = dims[at] + k * dim
+        tallies = grown
+
+    def trivials(room):
+        """The admissible sizes, up to room, of the trivial summand."""
+        top = min(room, 1) if distinct_irr else room
+        return range(0, top + 1, 2 if form is FormType.SYMPLECTIC else 1)
+
+    # each live multiset is read out once per trivial remainder
+    live = {at: tally for at, tally in tallies.items() if tally[1] + tally[3]}
+    reads = len(trivials(max_dim)) + sum(len(trivials(max_dim - dims[at])) for at in live)
+    if reads > MAX_SEARCH:
+        raise too_large("partitions read out")
+    out: dict = {}
+
+    def add(blocks, count, growing):
+        old, grew = out.get(blocks, (0, False))
+        out[blocks] = (old + count, grew or growing)
+
+    for at, tally in live.items():
+        blocks = tuple(size for size, place in places for _ in range(at // place % base))
+        for ones in trivials(max_dim - dims[at]):
+            # the classes are the completions with the twist-0 flag
+            add(blocks + (1,) * ones, tally[1] + tally[3], tally[3] > 0)
+    # the structure made of trivial summands only is one more class
+    for ones in trivials(max_dim)[1:]:
+        add((1,) * ones, 1, False)
+    return out
+
+
 def dn_partition_list(n: int, p: int, max_twist: int = 3) -> set[tuple[int, ...]]:
     """Partitions of 2n realizable as a sum of pairwise inequivalent
     orthogonal irreducibles (plus at most one trivial line): the Jordan
-    types available to suitably decomposed A1-subgroups of SO(2n)."""
-    out = set()
-    for blocks in partitions_bounded(2 * n, p):
-        result = enumerate_embeddings(
-            FormType.ORTHOGONAL, 2 * n, blocks, p, max_twist, distinct_irr=True
-        )
-        # at most one trivial line is allowed, so for 2n >= 2 every
-        # counted class has a nontrivial summand
-        if result.count:
-            out.add(blocks)
-    return out
+    types available to suitably decomposed A1-subgroups of SO(2n).  They
+    are the partitions of 2n that count_table(ORTHOGONAL, 2n, p,
+    max_twist, distinct_irr=True) counts, which refuses like it."""
+    table = count_table(FormType.ORTHOGONAL, 2 * n, p, max_twist, distinct_irr=True)
+    return {blocks for blocks in table if sum(blocks) == 2 * n}
 
 
 def partitions_bounded(total: int, max_part: int):

@@ -22,8 +22,8 @@ dimension at most n, so each entry is a sum of at most n products below
 every partial sum is an integer that float64 holds exactly, and in int64
 beyond; both are exact while n*(p-1)^2 < 2^63.  rank and
 jordan_block_sizes raise ShapeError beyond that bound instead of
-overflowing, and above MAX_DIMENSION rows or columns; kronecker and
-sym_power need (p-1)^2 < 2^63.
+overflowing, above MAX_DIMENSION rows or columns and for ragged rows;
+kronecker and sym_power need (p-1)^2 < 2^63.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, and symmetric powers of the standard
@@ -211,6 +211,17 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _shape(m) -> tuple[int, ...]:
+    """np.shape(m); a ragged nested list raises ShapeError, not numpy's
+    ValueError."""
+    import numpy as np
+
+    try:
+        return np.shape(m)
+    except ValueError:
+        raise ShapeError("matrix rows must all have the same length") from None
+
+
 def _check_dimension(what: str, n: int) -> None:
     """Reject matrices larger than MAX_DIMENSION with a one-line ShapeError."""
     if n > MAX_DIMENSION:
@@ -351,11 +362,10 @@ def rank(a: np.ndarray, field: PrimeField) -> int:
     """Rank over GF(p) by Gaussian elimination.
 
     Row operations are vectorised with numpy but all arithmetic is exact
-    int64 mod p.  Raises ShapeError above MAX_DIMENSION rows or columns.
+    int64 mod p.  Raises ShapeError above MAX_DIMENSION rows or columns
+    and for ragged rows.
     """
-    import numpy as np
-
-    shape = np.shape(a)
+    shape = _shape(a)
     if len(shape) != 2:
         raise ShapeError("rank expects a 2-d matrix")
     _check_dimension("rank input", max(shape))
@@ -399,9 +409,9 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     Computed from the rank sequence of N = m - I: the number of blocks of
     size >= s is rank(N^(s-1)) - rank(N^s) = dim ker N^s - dim ker
     N^(s-1).  Raises NotOrderPError unless N^p = 0 (equivalently, m is
-    unipotent with all blocks <= p), and ShapeError above MAX_DIMENSION
-    or unless n*(p-1)^2 < 2^63, the bound of the exact products (see the
-    module docstring).
+    unipotent with all blocks <= p), and ShapeError for ragged rows,
+    above MAX_DIMENSION or unless n*(p-1)^2 < 2^63, the bound of the
+    exact products (see the module docstring).
 
     N^s is never formed; the kernel chain is walked instead.  One
     elimination of [N | I], reduced by _reduced_echelon, gives the kernel
@@ -418,7 +428,7 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     """
     import numpy as np
 
-    shape = np.shape(m)
+    shape = _shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ShapeError("jordan type needs a square matrix")
     n = shape[0]

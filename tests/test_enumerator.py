@@ -12,6 +12,7 @@ from a1unicity.enumerator import (
     _branch_weights,
     _group_table,
     canonicalize,
+    count_table,
     dn_partition_list,
     enumerate_embeddings,
     jordan_menu,
@@ -189,6 +190,71 @@ def test_single_irreducible_hooks_are_regular_only():
 def test_dn_partition_list_d4():
     assert dn_partition_list(4, 5) == {(5, 3), (3, 3, 1, 1)}
     assert dn_partition_list(4, 7) == {(7, 1), (5, 3), (3, 3, 1, 1)}
+
+
+@pytest.mark.parametrize("p, max_twist", [(3, 3), (5, 3), (7, 3), (5, 1), (5, 2)])
+def test_count_table_equals_the_search(p, max_twist):
+    """The table holds exactly the partitions of SL <= 12, Sp <= 14 and
+    SO <= 13 with blocks <= p that the search counts, with its count and
+    growth flag, with and without distinct_irr."""
+    for form, max_dim in (
+        (FormType.NONE, 12), (FormType.SYMPLECTIC, 14), (FormType.ORTHOGONAL, 13)
+    ):
+        for distinct_irr in (False, True):
+            table = count_table(form, max_dim, p, max_twist, distinct_irr)
+            for dim in range(1, max_dim + 1):
+                for blocks in partitions_bounded(dim, p):
+                    res = enumerate_embeddings(form, dim, blocks, p, max_twist, distinct_irr)
+                    got = table.pop(blocks, (0, False))
+                    assert got == (res.count, res.growth_flag), (form, distinct_irr, blocks)
+            assert not table
+
+
+def test_dn_partition_list_is_the_partitions_the_search_counts():
+    for p in (5, 7):
+        for n in range(11):
+            want = {
+                blocks
+                for blocks in partitions_bounded(2 * n, p)
+                if enumerate_embeddings(
+                    FormType.ORTHOGONAL, 2 * n, blocks, p, distinct_irr=True
+                ).count
+            }
+            assert dn_partition_list(n, p) == want, (n, p)
+
+
+def test_dn_partition_list_refuses_what_the_search_refuses():
+    for args, message in (
+        ((4, 1), "1 is not prime"),
+        ((4, 9), "9 is not prime"),
+        ((4, 2), "forms need odd characteristic"),
+        ((4, 5, 0), "max_twist must be >= 1"),
+    ):
+        with pytest.raises(InvalidQueryError) as err:
+            dn_partition_list(*args)
+        assert str(err.value) == message
+    with pytest.raises(InvalidQueryError) as err:
+        count_table(FormType.EITHER, 4, 5)
+    assert str(err.value) == "enumerate by a concrete form, or FormType.NONE"
+    assert dn_partition_list(0, 5) == dn_partition_list(-1, 5) == set()
+
+
+def test_count_table_refuses_past_the_budget():
+    """Each bound refuses with one line: the weight tuples, the product's
+    steps (many multisets for D60, few multisets taking many copies each
+    at p = 2) and the partitions read out (few multisets, each with many
+    trivial remainders)."""
+    for call, what in (
+        (lambda: count_table(FormType.NONE, 10**6, 1000003), "weight tuples"),
+        (lambda: dn_partition_list(60, 31), "steps"),
+        (lambda: count_table(FormType.NONE, 2000, 2), "steps"),
+        (lambda: count_table(FormType.NONE, 640, 2, 1), "partitions"),
+    ):
+        with pytest.raises(InvalidQueryError) as err:
+            call()
+        message = str(err.value)
+        assert message.startswith("table too large") and what in message
+        assert "\n" not in message
 
 
 def test_distinct_mode_forbids_repeats():

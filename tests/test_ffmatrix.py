@@ -508,6 +508,14 @@ def test_oracle_and_rank_refuse_oversized_matrices():
     assert rank(big[:2, :MAX_DIMENSION], field) == 1
 
 
+@pytest.mark.parametrize("ragged", [[[1, 2], [3]], [[1, [2]], [0, 1]]])
+def test_oracle_and_rank_refuse_ragged_rows(ragged):
+    for fn in (jordan_block_sizes, rank):
+        with pytest.raises(ShapeError) as err:
+            fn(ragged, PrimeField(5))
+        assert str(err.value) == "matrix rows must all have the same length"
+
+
 @pytest.mark.parametrize(
     "m, n, p, seed", [(2, 5, 5, 1), (4, 7, 7, 2), (6, 6, 7, 3), (5, 9, 11, 4), (8, 11, 13, 5)]
 )
