@@ -384,7 +384,9 @@ def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
     return comb(k // 2 + atoms - 1, atoms - 1) if k % 2 == 0 else 0
 
 
-@lru_cache(maxsize=None)
+# bounded: count_table asks for every copies count k up to max_dim, while a
+# search or a whole selfcheck reuses fewer than 50 entries
+@lru_cache(maxsize=256)
 def _branch_weights(flag_counts, lone_ok: bool, distinct_irr: bool, k: int):
     """(flag union, ways) for each union of twist flags reachable by k
     copies of a group whose atoms fall into flag classes of these sizes;

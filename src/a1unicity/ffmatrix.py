@@ -1,13 +1,14 @@
 """Exact dense linear algebra over the prime field GF(p).
 
 This module is the ground truth for every Jordan-type claim in the
-package: matrices are numpy int64 arrays with entries reduced to
+package: matrices are numpy integer arrays with entries reduced to
 canonical representatives 0..p-1, and rank is computed by Gaussian
 elimination in exact modular arithmetic.
 
-Elimination runs in int64, whose products of two reduced entries stay
-below 2^63 while (p-1)^2 < 2^63.  It visits only the columns that are
-nonzero in some row (a row operation never fills a column that is zero
+Elimination runs in int64, or in int32 in the oracle's float32 tier
+(below): a product of two reduced entries is at most (p-1)^2, which
+int64 holds while (p-1)^2 < 2^63 and int32 while (p-1)^2 < 2^24.  It
+visits only the columns that are nonzero in some row (a row operation never fills a column that is zero
 in every row), scales each pivot row to a leading 1 and clears its
 column with the multiplier m[i, c]: its rows have strictly increasing
 leading columns with entry 1 and span the row space, which is all that
@@ -18,12 +19,34 @@ N = m - I (see jordan_block_sizes): one elimination of the n x 2n matrix
 [N | I], then matrix products only, for the back-substitution to reduced
 echelon form and for every step of the chain.  Each product has inner
 dimension at most n, so each entry is a sum of at most n products below
-(p-1)^2.  Products run in float64 (BLAS) while n*(p-1)^2 < 2^53, where
-every partial sum is an integer that float64 holds exactly, and in int64
-beyond; both are exact while n*(p-1)^2 < 2^63.  rank and
-jordan_block_sizes raise ShapeError beyond that bound instead of
-overflowing, above MAX_DIMENSION rows or columns and for ragged rows;
-kronecker and sym_power need (p-1)^2 < 2^63.
+(p-1)^2.  The oracle stores its matrices, and multiplies them, in the
+narrowest width that is exact for that sum:
+
+    n*(p-1)^2 < 2^24    int32 matrices, float32 (BLAS) products
+    n*(p-1)^2 < 2^53    int64 matrices, float64 (BLAS) products
+    n*(p-1)^2 < 2^63    int64 matrices, int64 products
+
+In a float tier every partial sum is a nonnegative integer below the
+tier's bound, in whatever order BLAS adds the terms and with or without
+fused multiply-adds, so the float holds it exactly.  Each storage width
+has the itemsize of its product width, so a block of rows is
+reinterpreted in place, never copied to a second width.  The storage
+width holds every intermediate: within +-(p-1)^2 in the elimination (a
+reduced entry minus the product of two), within +-n*(p-1)^2 where a
+product is subtracted.  The first tier covers every prime up to 61 at
+any admitted size.  From p = 67 on, inputs of MAX_DIMENSION rows
+stay in the float64 tier and keep its cost: Sym^4095 at p = 4099
+(n = 4096) takes about 16 s and peaks at 677 MB.  The oracle's peak
+working set is [N | I] in the storage width plus one n x n matrix: the
+int64 copy that PrimeField.reduce makes of the input while [N | I] is
+filled, or step_map later.  tracemalloc reads 14.8 MB for J(31) x J(31)
+(n = 961) and 43.0 MB for J(40) x J(41) at p = 41 (n = 1640), both in
+the int32 tier, about half of the 28.9 and 84.5 MB that int64 storage
+of the same matrices takes.  rank keeps int64 throughout.
+
+rank and jordan_block_sizes raise ShapeError unless n*(p-1)^2 < 2^63,
+above MAX_DIMENSION rows or columns and for ragged rows; kronecker and
+sym_power need (p-1)^2 < 2^63.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, and symmetric powers of the standard
@@ -59,7 +82,8 @@ if TYPE_CHECKING:
 # Dense matrices only; desk-scale checks stay far below this.
 MAX_DIMENSION = 4096
 
-# Integers up to these bounds are exact in float64 and in int64.
+# Integers below these bounds are exact in float32, float64 and int64.
+_FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 _INT64_EXACT = 2**63
 
@@ -241,7 +265,8 @@ def _check_int64_exact(n: int, p: int) -> None:
 def _echelon(m: np.ndarray, field: PrimeField, width: int | None = None) -> np.ndarray:
     """Row-echelon basis of the row space of m over GF(p).
 
-    m must be int64 with entries in 0..p-1; it is overwritten.  Pivots
+    m must be int64 (or int32 while (p-1)^2 < 2^24, as in the oracle's
+    float32 tier) with entries in 0..p-1; it is overwritten.  Pivots
     are sought in the first `width` columns only (all of them by default)
     and the columns beyond are carried along.  Returns the first r rows
     of m, one per pivot, with leading entry 1 and strictly increasing
@@ -280,27 +305,46 @@ def _echelon(m: np.ndarray, field: PrimeField, width: int | None = None) -> np.n
 
 
 def _product_dtype(n: int, p: int):
-    """float64 while n*(p-1)^2 < 2^53, else int64.
+    """float32 while n*(p-1)^2 < 2^24, float64 while n*(p-1)^2 < 2^53,
+    else int64.
 
-    Either holds every sum of at most n products of entries in 0..p-1
-    exactly, given the n*(p-1)^2 < 2^63 of _check_int64_exact.
+    Each holds every partial sum of at most n products of entries in
+    0..p-1 exactly, given the n*(p-1)^2 < 2^63 of _check_int64_exact: a
+    nonnegative integer below 2^24 (2^53) is a float32 (float64), in any
+    order of summation and with or without fused multiply-adds.
     """
     import numpy as np
 
-    return np.float64 if n * (p - 1) ** 2 < _FLOAT64_EXACT else np.int64
+    bound = n * (p - 1) ** 2
+    if bound < _FLOAT32_EXACT:
+        return np.float32
+    return np.float64 if bound < _FLOAT64_EXACT else np.int64
+
+
+def _storage_dtype(dtype):
+    """The integer width that stores the matrices multiplied in dtype:
+    int32 for float32, else int64.
+
+    Equal itemsize, so _reduced_echelon reinterprets rows in place.  A
+    product in float32 is below 2^24, and every value the oracle stores
+    (entries, products, their differences) lies within +-2^24 there.
+    """
+    import numpy as np
+
+    return np.int32 if dtype == np.float32 else np.int64
 
 
 def _product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
-    """The exact product a @ b as int64, for a and b with entries in 0..p-1.
+    """The exact product a @ b, for a and b with entries in 0..p-1, in the
+    storage width _storage_dtype(dtype).
 
     Computed in dtype, which must be _product_dtype(k, p) for a k at
-    least the inner dimension.  Callers reduce it mod p once, in int64,
-    whose remainder is several times faster than float64's.
+    least the inner dimension, so every partial sum is exact.  Callers
+    reduce it mod p once, in the integer width, whose remainder is
+    several times faster than a float remainder.
     """
-    import numpy as np
-
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    return out.astype(np.int64, copy=False)
+    return out.astype(_storage_dtype(dtype), copy=False)
 
 
 def _reduced_echelon(
@@ -315,12 +359,16 @@ def _reduced_echelon(
     strictly upper triangular; and the slab is multiplied by
     (I + S)^-1 = (I - S)(I + S^2)(I + S^4)..., which ends because S is
     nilpotent.  dtype must be _product_dtype(k, p) for a k at least the
-    row count of m, which bounds the inner dimension of every product.
+    row count of m, which bounds the inner dimension of every product,
+    and m must be in its storage width _storage_dtype(dtype): int32 for
+    float32 products, int64 for float64 and int64 ones.  The elimination
+    then stays within +-(p-1)^2 and each slab update within
+    +-k*(p-1)^2, below the tier's bound (see _product_dtype).
 
     Returns the r pivot rows, with every pivot 1 and the only nonzero of
     its column, and their leading columns.  The rows are m[:r] in place,
-    reinterpreted as dtype (float64 holds them exactly); the rows below
-    are as _echelon leaves them.
+    reinterpreted as dtype, whose itemsize the storage width shares and
+    which holds them exactly; the rows below are as _echelon leaves them.
     """
     import numpy as np
 
@@ -413,6 +461,14 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     above MAX_DIMENSION or unless n*(p-1)^2 < 2^63, the bound of the
     exact products (see the module docstring).
 
+    Every matrix is held in the narrowest exact width for n and p:
+    int32 with float32 products while n*(p-1)^2 < 2^24, int64 with
+    float64 products while n*(p-1)^2 < 2^53, int64 throughout beyond
+    (_product_dtype, _storage_dtype).  Each product has inner dimension
+    at most n, so its partial sums are integers below n*(p-1)^2.  The
+    peak working set is [N | I] plus one n x n matrix (see the module
+    docstring).
+
     N^s is never formed; the kernel chain is walked instead.  One
     elimination of [N | I], reduced by _reduced_echelon, gives the kernel
     K of N, the left kernel L (the right halves of the kappa = dim K rows
@@ -438,8 +494,9 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     if n == 0:
         raise EmptyMatrixError("jordan type of a 0 x 0 matrix requested")
     dtype = _product_dtype(n, p)
+    storage = _storage_dtype(dtype)
     # [N | I] with N = m - I
-    aug = np.zeros((n, 2 * n), dtype=np.int64)
+    aug = np.zeros((n, 2 * n), dtype=storage)
     aug[:, :n] = field.reduce(m)
     diagonal = np.arange(n)
     aug[diagonal, diagonal] = (aug[diagonal, diagonal] - 1) % p
@@ -460,13 +517,13 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     step_map[:, kappa:] = reduced[:, n + pivot].T
     # the kernel of N: for each free column f, e_f minus the reduced rows'
     # entries of column f at the pivot columns
-    z = np.empty((kappa, kappa + r), dtype=np.int64)
+    z = np.empty((kappa, kappa + r), dtype=storage)
     z[:, :kappa] = left[:, free].T
     z[:, kappa:] = reduced[:, n + free].T
     z -= _product(reduced[:, free].T, step_map, dtype)
     z %= p
     del aug, reduced, left
-    kept = np.zeros((0, kappa + r), dtype=np.int64)  # [image | preimage] rows
+    kept = np.zeros((0, kappa + r), dtype=storage)  # [image | preimage] rows
     kept_pivot = np.zeros(0, dtype=np.intp)
     ranks = [n]
     rank_s = r
@@ -492,7 +549,7 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
             found, lead = _reduced_echelon(z, field, kappa, dtype)
             kept -= _product(kept[:, lead], found, dtype)
             kept %= p
-            kept = np.concatenate((kept, found.astype(np.int64)))
+            kept = np.concatenate((kept, found.astype(storage)))
             kept_pivot = np.concatenate((kept_pivot, lead))
             killed = z[found.shape[0] :, kappa:]
         # the rest have image 0, so they lie in im N, and their preimages

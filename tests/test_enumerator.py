@@ -257,6 +257,17 @@ def test_count_table_refuses_past_the_budget():
         assert "\n" not in message
 
 
+def test_refused_count_table_leaves_the_weight_cache_bounded():
+    """A table refused after asking for 100,001 copies counts keeps no
+    more weight entries than the cache's bound."""
+    _branch_weights.cache_clear()
+    with pytest.raises(InvalidQueryError):
+        count_table(FormType.NONE, 10**6, 2)
+    info = _branch_weights.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+
+
 def test_distinct_mode_forbids_repeats():
     res = enumerate_embeddings(
         FormType.ORTHOGONAL, 8, (3, 3, 1, 1), 5, 3, distinct_irr=True

@@ -302,7 +302,13 @@ def test_reduce_refuses_string_entries():
     assert "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize("p", [13, 100000007])
+# product width -> storage width of each tier, and a prime whose products
+# at inner dimension <= 40 run in that tier
+_TIERS = {13: (np.float32, np.int32), 4099: (np.float64, np.int64),
+          100000007: (np.int64, np.int64)}
+
+
+@pytest.mark.parametrize("p", [13, 4099, 100000007])
 def test_product_is_the_exact_integer_product(p):
     rng = np.random.default_rng(p)
     for k in (1, 7, 40):
@@ -310,11 +316,25 @@ def test_product_is_the_exact_integer_product(p):
         b = rng.integers(0, p, (k, 6))
         want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.tolist())]
                 for row in a.tolist()]
-        # the float64 path where it is exact, and the int64 path
-        for dtype in {ffmatrix._product_dtype(k, p), np.int64}:
+        assert ffmatrix._product_dtype(k, p) == _TIERS[p][0]
+        # the tier's float path where it is exact, and the int64 path, each
+        # returning its storage width
+        for dtype, storage in {_TIERS[p], (np.int64, np.int64)}:
             got = ffmatrix._product(a, b, dtype)
-            assert got.dtype == np.int64
+            assert got.dtype == storage
             assert got.tolist() == want
+
+
+def test_float32_product_is_exact_up_to_its_bound():
+    # every entry p - 1 and the sum k * (p - 1)^2 just below 2^24
+    p, k = 13, 116508
+    assert k * (p - 1) ** 2 < 2**24 <= (k + 1) * (p - 1) ** 2
+    assert ffmatrix._product_dtype(k, p) == np.float32
+    assert ffmatrix._product_dtype(k + 1, p) == np.float64
+    a = np.full((1, k), p - 1, dtype=np.int32)
+    got = ffmatrix._product(a, a.T, np.float32)
+    assert got.dtype == np.int32
+    assert got.tolist() == [[k * (p - 1) ** 2]]
 
 
 def test_block_diagonal_rejects_oversized_result():
@@ -386,7 +406,8 @@ def test_reduced_echelon_matches_reference_elimination(case, slab):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ffmatrix, "_SLAB", slab)  # 1 and 3 split m into slabs
         dtype = ffmatrix._product_dtype(rows, p)
-        got, lead = ffmatrix._reduced_echelon(m.copy(), PrimeField(p), cols, dtype)
+        stored = m.astype(ffmatrix._storage_dtype(dtype))  # the tier's storage width
+        got, lead = ffmatrix._reduced_echelon(stored, PrimeField(p), cols, dtype)
     got = got.astype(np.int64).tolist()
     assert len(got) == len(want)
     # the pivot columns are those of every echelon basis of the row space
@@ -449,7 +470,9 @@ def _conjugate_randomly(a, p, rng):
     return a
 
 
-_ORACLE_PRIMES = (2, 3, 5, 7, 13, 100000007)  # the last runs the int64 products
+# at n <= 20, 13 and below run float32 products, 4099 float64 ((p-1)^2
+# >= 2^24) and the last int64
+_ORACLE_PRIMES = (2, 3, 5, 7, 13, 4099, 100000007)
 
 
 @st.composite
@@ -492,6 +515,61 @@ def test_oracle_matches_reference_ranks_of_powers(case, slab):
         patch.setattr(ffmatrix, "_SLAB", slab)  # 1 and 3 split [N | I] into slabs
         got = _outcome(lambda a, q: jordan_block_sizes(a, PrimeField(q)), m, p)
     assert got == want
+
+
+@pytest.mark.parametrize("m, n, dtype", [(4, 4, np.float32), (1, 17, np.float64)])
+def test_oracle_width_tier_boundary(m, n, dtype):
+    """At p = 1021, 16 * 1020^2 < 2^24 <= 17 * 1020^2: a 16 x 16 input runs
+    float32 products and a 17 x 17 one float64, and both are exact on
+    dense conjugates of J(m) x J(n)."""
+    p = 1021
+    field = PrimeField(p)
+    a = kronecker(unipotent_jordan_block(field, m), unipotent_jordan_block(field, n), field)
+    a = _conjugate_randomly(a, p, np.random.default_rng(m * n))
+    seen = set()
+    product = ffmatrix._product
+
+    def spy(x, y, width):
+        seen.add(width)
+        return product(x, y, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffmatrix, "_product", spy)
+        got = jordan_block_sizes(a, field)
+    assert seen == {dtype}
+    assert got == tensor_pair(m, n, p).blocks
+
+
+_F5 = PrimeField(5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _F5.inverse(0), ZeroDivisionError, "0 has no inverse in GF(p)"),
+        (lambda: identity(0), EmptyMatrixError, "identity of size 0 requested"),
+        (lambda: unipotent_jordan_block(_F5, -1), ShapeError, "negative block size -1"),
+        (lambda: block_diagonal([]), EmptyMatrixError, "no blocks given"),
+        (lambda: rank([1, 2], _F5), ShapeError, "rank expects a 2-d matrix"),
+        (
+            lambda: jordan_block_sizes(np.zeros((2, 3), dtype=np.int64), _F5),
+            ShapeError,
+            "jordan type needs a square matrix",
+        ),
+        (
+            lambda: jordan_block_sizes(np.zeros((0, 0), dtype=np.int64), _F5),
+            EmptyMatrixError,
+            "jordan type of a 0 x 0 matrix requested",
+        ),
+    ],
+    ids=["inverse-0", "identity-0", "negative-block", "no-blocks", "rank-1d",
+         "jordan-2x3", "jordan-0x0"],
+)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_oracle_and_rank_refuse_oversized_matrices():
