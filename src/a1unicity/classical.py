@@ -16,13 +16,13 @@ Everything else meets non-conjugate overgroups; for the shapes
 (p, 1^r), (3, 1^r), (p, p, 1^r) and (3, 3, 1^r) an explicit witness
 pair of module structures is attached.
 
-The code decides from two facts.  A single block J(a) carries the
-family's form always in SL, for even a in Sp and for odd a in SO
-(`_carries_form`); blocks that do not carry it come in pairs, which is
-`validate`'s parity rule.  An order-p partition has the unicity shape
-when it is the hook (a, 1^r) with J(a) carrying the form, or else the
-doubled hook (a, a, 1^r).  It is Unique unless it is one of four
-exceptions, each with its witness pair (`_exception_pair`):
+The code decides from two facts.  A single block J(a) = L(a - 1) carries
+the family's form (FAMILY_FORM) always in SL, for even a in Sp and for
+odd a in SO (sl2modules.lone_copy_admits); blocks that do not carry it
+come in pairs, which is `validate`'s parity rule.  An order-p partition
+has the unicity shape when it is the hook (a, 1^r) with J(a) carrying
+the form, or else the doubled hook (a, a, 1^r).  It is Unique unless it
+is one of four exceptions, each with its witness pair (`_exception_pair`):
 SL (p, 1^r>=1); SL/SO (3, 1^r>=1); Sp (p, p, 1^r); Sp (3, 3, 1^r>=1).
 
 The doubled-hook exclusion at a = 3 parallels the hook exclusion: the
@@ -50,12 +50,15 @@ from .errors import (
 from .ffmatrix import is_prime
 from .sl2modules import (
     Doubled,
+    FormType,
     Irr,
     IrreducibleDescriptor,
     IrreducibleFactor,
     ModuleDescriptor,
     Trivial,
     Weyl,
+    lone_copy_admits,
+    weights_form,
 )
 
 
@@ -136,13 +139,10 @@ class Verdict(Frozen):
         object.__setattr__(self, "reason", reason)
 
 
-# smallest natural-module dimensions the classification covers
+# per family: the least natural-module dimension covered, and the form kept
 _MIN_DIM = {Family.SL: 2, Family.SP: 4, Family.SO: 7}
-
-
-def _carries_form(family: Family, size: int) -> bool:
-    """Does a single Jordan block J(size) carry the family's form?"""
-    return family is Family.SL or (size % 2 == 0) == (family is Family.SP)
+FAMILY_FORM = {Family.SL: FormType.NONE, Family.SP: FormType.SYMPLECTIC,
+               Family.SO: FormType.ORTHOGONAL}
 
 
 def validate(group: GroupFamily, partition: Partition, p: int) -> None:
@@ -158,7 +158,8 @@ def validate(group: GroupFamily, partition: Partition, p: int) -> None:
             f"partition of {partition.n} vs natural module of dim {group.dimension}"
         )
     for size in set(partition.parts):
-        if not _carries_form(group.family, size) and partition.multiplicity(size) % 2:
+        lone_ok = lone_copy_admits(weights_form((size - 1,)), FAMILY_FORM[group.family])
+        if not lone_ok and partition.multiplicity(size) % 2:
             raise ParityViolationError(
                 f"{'odd' if size % 2 else 'even'} block size {size} "
                 "occurs an odd number of times"
@@ -227,7 +228,7 @@ def unicity_verdict(group: GroupFamily, partition: Partition, p: int) -> Verdict
         )
     parts = partition.parts
     a = parts[0]
-    head = 1 if _carries_form(group.family, a) else 2
+    head = 1 if lone_copy_admits(weights_form((a - 1,)), FAMILY_FORM[group.family]) else 2
     if parts != (a,) * head + (1,) * (len(parts) - head):
         return Verdict(VerdictKind.NON_UNIQUE)
     pair = _exception_pair(group.family, a, len(parts) - head, p)

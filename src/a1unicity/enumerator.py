@@ -22,17 +22,16 @@ K and the union F of the twist flags of the atoms that get a copy, and
 weights that branch by the number of ways to spread K copies over the
 group's atoms with flag union F.  Over N atoms, k copies spread in
 
-  * C(k + N - 1, N - 1) ways when a lone copy carries the ambient form;
+  * C(k + N - 1, N - 1) ways when a lone copy carries the ambient form
+    (sl2modules.lone_copy_admits, asked once per query);
   * C(k/2 + N - 1, N - 1) ways for even k, and none for odd k, when it
-    does not (a lone copy must carry the form itself; pairs always pair
-    up hyperbolically);
+    does not: the copies pair up hyperbolically;
   * C(N, k) ways with distinct_irr, where a group whose lone copy
-    cannot carry the form is unusable;
+    cannot carry the form is unusable (_usable_groups);
 
 and inclusion-exclusion over the flag classes a spread may use gives the
 ways for each union F exactly.  At the leaf the leftover 1-blocks are
-the trivial summand: an even number of them under a symplectic form,
-and at most one with distinct_irr.
+the trivial summand, of a size _trivial_sizes admits.
 
 The state is the group index and the remaining block counts, and its
 memo entry tallies the completions by the union of their twist flags.
@@ -61,9 +60,7 @@ already validated summands and formatted once, in canonical form:
   * the minimum twist over all factors of all nontrivial summands is 0;
   * m isomorphic copies of an irreducible M are stored as floor(m/2)
     hyperbolic pairs Doubled(M) plus (m mod 2) plain summands, which is
-    both the canonical shape and exactly what form-admissibility needs
-    (a lone M must carry the ambient form itself; pairs always pair up
-    hyperbolically);
+    both the canonical shape and exactly what form-admissibility needs;
   * all trivial summands merge into one Trivial(r).
 
 Queries are bounded before any search by MAX_SEARCH.  The weight tuples
@@ -152,6 +149,8 @@ from .sl2modules import (
     ModuleDescriptor,
     Trivial,
     format_descriptor,
+    lone_copy_admits,
+    trivial_step,
     weights_form,
 )
 
@@ -364,10 +363,26 @@ def jordan_menu(
         desc = IrreducibleDescriptor(
             tuple(map(IrreducibleFactor, weights, range(len(weights))))
         )
-        if form is FormType.NONE or desc.form_type() is form:
+        if lone_copy_admits(desc.form_type(), form):
             out.append((desc, desc.jordan_type(p)))
     out.sort(key=lambda item: item[0].sort_key())
     return out
+
+
+@lru_cache(maxsize=None)
+def _usable_groups(form, distinct_irr, p, max_twist, max_dim, max_sum):
+    """The rows of _group_table(p, max_twist, max_dim, max_sum) with the
+    form replaced by lone_ok (lone_copy_admits), dropping those without
+    it under distinct_irr, where every summand is a lone copy."""
+    table = _group_table(p, max_twist, max_dim, max_sum)
+    rows = [(j, lone_copy_admits(f, form), t, n) for j, f, t, n in table]
+    return tuple(row for row in rows if row[1] or not distinct_irr)
+
+
+def _trivial_sizes(step: int, distinct_irr: bool, room: int) -> range:
+    """The admissible trivial summand sizes up to room: multiples of the
+    ambient form's trivial_step, and at most one line with distinct_irr."""
+    return range(0, (min(room, 1) if distinct_irr else room) + 1, step)
 
 
 def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
@@ -457,11 +472,11 @@ class _Search:
     def __init__(self, groups, sizes, target, form, distinct_irr, p, max_twist):
         self.groups = groups
         self.target = target
-        self.form = form
         self.distinct_irr = distinct_irr
         self.p = p
         self.max_twist = max_twist
         self.one = sizes.index(1) if 1 in sizes else None
+        self.trivials = _trivial_sizes(trivial_step(form), distinct_irr, self.ones(target))
         # the last group using each block size: past it, that size is stuck
         self.last = [
             max((i for i, g in enumerate(groups) if g.need[j]), default=-1)
@@ -472,11 +487,6 @@ class _Search:
 
     def ones(self, rem) -> int:
         return rem[self.one] if self.one is not None else 0
-
-    def trivial_ok(self, ones: int) -> bool:
-        if self.distinct_irr and ones > 1:
-            return False
-        return self.form is not FormType.SYMPLECTIC or ones % 2 == 0
 
     def stop(self, rem) -> int | None:
         """First group index from which rem can no longer be used up, or
@@ -505,7 +515,7 @@ class _Search:
             return hit
         stop = self.stop(rem)
         if stop is None:
-            memo[(i, rem)] = value = _LEAF if self.trivial_ok(self.ones(rem)) else _NONE
+            memo[(i, rem)] = value = _LEAF if self.ones(rem) in self.trivials else _NONE
             return value
         # follow k = 0 forward to a known or stuck state, then fill the
         # chain in backwards: the recursion nests only for k >= 1
@@ -533,7 +543,7 @@ class _Search:
     def all_trivial_ok(self) -> bool:
         """The structure made of trivial summands only is admissible."""
         ones = self.ones(self.target)
-        return self.stop(self.target) is None and ones > 0 and self.trivial_ok(ones)
+        return self.stop(self.target) is None and ones > 0 and ones in self.trivials
 
     def classes(self) -> tuple[EmbeddingClass, ...]:
         memo = self.memo
@@ -549,9 +559,10 @@ class _Search:
                 pool = built[j, flags] = []
                 top = self.max_twist
                 for weights in self.groups[j].tuples:
+                    # free >= 0: two or more nontrivial blocks multiply to two
+                    # or more blocks, so a group with a one-weight tuple has only
+                    # those, and its flag class 3, the one with free < 0, is empty
                     low, high, free = _flag_twists(len(weights), top, flags)
-                    if free < 0:
-                        continue
                     # combinations reads its whole input first: C(T - 1, 0)
                     # = 1 must not read 1..T-1
                     inners = combinations(range(1, top), free) if free else [()]
@@ -688,11 +699,8 @@ def enumerate_embeddings(
     sizes = sorted(target, reverse=True)
     where = {size: j for j, size in enumerate(sizes)}
     groups = []
-    table = _group_table(p, max_twist, dim, max_sum)
-    for jordan, atom_form, tuples, flag_counts in table:
-        lone_ok = form is FormType.NONE or atom_form is form
-        if distinct_irr and not lone_ok:
-            continue  # every summand would have to be a lone copy
+    table = _usable_groups(form, distinct_irr, p, max_twist, dim, max_sum)
+    for jordan, lone_ok, tuples, flag_counts in table:
         most = min(target.get(size, 0) // n for size, n in jordan)  # copies that fit
         if not most:
             continue
@@ -754,10 +762,8 @@ def count_table(
     tallies = {0: _LEAF}  # code -> completions by twist-flag union
     dims = {0: 0}  # code -> dimension
     steps = 0
-    for jordan, atom_form, _, flag_counts in _group_table(p, max_twist, max_dim, max_dim):
-        lone_ok = form is FormType.NONE or atom_form is form
-        if distinct_irr and not lone_ok:
-            continue  # every summand would have to be a lone copy
+    table = _usable_groups(form, distinct_irr, p, max_twist, max_dim, max_dim)
+    for jordan, lone_ok, _, flag_counts in table:
         shift = sum(n * base ** (size - 1) for size, n in jordan)  # one copy's code
         dim = sum(size * n for size, n in jordan)
         # with distinct_irr no more copies than atoms
@@ -781,14 +787,10 @@ def count_table(
                 dims[to] = dims[at] + k * dim
         tallies = grown
 
-    def trivials(room):
-        """The admissible sizes, up to room, of the trivial summand."""
-        top = min(room, 1) if distinct_irr else room
-        return range(0, top + 1, 2 if form is FormType.SYMPLECTIC else 1)
-
-    # each live multiset is read out once per trivial remainder
+    # each live multiset and the empty one (code 0) is read out once per trivial size
     live = {at: tally for at, tally in tallies.items() if tally[1] + tally[3]}
-    reads = len(trivials(max_dim)) + sum(len(trivials(max_dim - dims[at])) for at in live)
+    step = trivial_step(form)
+    reads = sum(len(_trivial_sizes(step, distinct_irr, max_dim - dims[at])) for at in (0, *live))
     if reads > MAX_SEARCH:
         raise too_large("partitions read out")
     out: dict = {}
@@ -799,11 +801,11 @@ def count_table(
 
     for at, tally in live.items():
         blocks = tuple(size for size, place in places for _ in range(at // place % base))
-        for ones in trivials(max_dim - dims[at]):
+        for ones in _trivial_sizes(step, distinct_irr, max_dim - dims[at]):
             # the classes are the completions with the twist-0 flag
             add(blocks + (1,) * ones, tally[1] + tally[3], tally[3] > 0)
     # the structure made of trivial summands only is one more class
-    for ones in trivials(max_dim)[1:]:
+    for ones in _trivial_sizes(step, distinct_irr, max_dim)[1:]:
         add((1,) * ones, 1, False)
     return out
 

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 from . import atlas
 from .classical import (
-    Family,
+    FAMILY_FORM,
     Partition,
     SL,
     SO,
@@ -34,7 +34,7 @@ from .enumerator import (
     jordan_menu,
 )
 from .errors import DomainError, NoWitnessRuleError, ValidationError
-from .ffmatrix import PrimeField, sym_power
+from .ffmatrix import PrimeField, kronecker, sym_power
 from .jordan import (
     jordan_type_of_unipotent,
     summand_profile,
@@ -44,8 +44,6 @@ from .jordan import (
 )
 from .sl2modules import (
     FormType,
-    ModuleDescriptor,
-    Tilting,
     admits_form,
     dimension,
     jordan_type,
@@ -64,10 +62,6 @@ ORTHOGONAL_MENU_EXPECTED = {
     (1, 1, 2): (12, (5, 3, 3, 1)),
     (6,): (7, (7,)),
     (1, 5): (12, (7, 5)),
-}
-
-_FORM = {
-    Family.SL: FormType.NONE, Family.SP: FormType.SYMPLECTIC, Family.SO: FormType.ORTHOGONAL,
 }
 
 # Criterion 7's primes and dimensions, by the quick flag.
@@ -181,8 +175,11 @@ def check_multi_profiles():
 
 
 def check_module_facts():
-    """Symmetric-power realizations and tilting types match the stated
-    block structures."""
+    """Symmetric-power realizations match the stated block structures,
+    and so does T(c) for p <= c <= 2p-2: with s = c - p + 1 it is a
+    summand of L(p-1) x L(s) (Jantzen, Representations of Algebraic
+    Groups, II.E), on which u acts as (s+1).J(p), so its 2p dimensions
+    make the blocks (p, p)."""
     for p in (5, 7):
         field = PrimeField(p)
         for c in range(0, 2 * p - 1):
@@ -190,10 +187,11 @@ def check_module_facts():
             want = (c + 1,) if c <= p - 1 else tuple(sorted((p, c - p + 1), reverse=True))
             if got != want:
                 return False, f"Sym^{c} mod {p}: {got} vs {want}"
-        for c in range(p, 2 * p - 1):
-            d = ModuleDescriptor((Tilting(c),), p)
-            if jordan_type(d).blocks != (p, p) or dimension(d) != 2 * p:
-                return False, f"T({c}) mod {p}"
+        for s in range(1, p):
+            product = kronecker(sym_power(p - 1, field), sym_power(s, field), field)
+            got = jordan_type_of_unipotent(product, field).blocks
+            if got != (p,) * (s + 1):
+                return False, f"T({s + p - 1}) mod {p}: L({p - 1})xL({s}) has {got}"
     return True, "p in (5, 7), c <= 2p-2"
 
 
@@ -234,6 +232,7 @@ def classifier_vs_enumeration(primes, dims, max_twist: int = 3):
     for make, family_dims in dims.items():
         for dim in family_dims:
             g = make(dim)
+            form = FAMILY_FORM[g.family]
             for blocks in partitions_bounded(dim, max(primes) - 1):
                 if blocks[0] < 2:
                     continue
@@ -247,7 +246,7 @@ def classifier_vs_enumeration(primes, dims, max_twist: int = 3):
                     except ValidationError:
                         continue
                     if result is None:
-                        result = enumerate_embeddings(_FORM[g.family], dim, part, p, max_twist)
+                        result = enumerate_embeddings(form, dim, part, p, max_twist)
                     yield g, part, p, unicity_verdict(g, part, p), result
 
 
@@ -299,7 +298,7 @@ def check_witness_soundness():
             return False, f"missing witnesses for {g} ({part}) p = {p}"
         if first == second:
             return False, f"degenerate witness pair for {g} ({part})"
-        form = _FORM[g.family]
+        form = FAMILY_FORM[g.family]
         for d in (first, second):
             if dimension(d) != g.dimension:
                 return False, f"dimension off for {g} ({part})"

@@ -37,6 +37,10 @@ from summands already checked, merged and sorted, as an enumeration
 listing has them, without checking them again.  matrices(field)
 returns the summand's diagonal blocks for realize, built from
 ffmatrix.sym_power, the symmetric powers of the standard unipotent.
+
+The form rules live here once, and the summands' admits, the classifier
+and the enumerator ask them: weights_form, lone_copy_admits and
+trivial_step.
 """
 
 from __future__ import annotations
@@ -76,8 +80,18 @@ class FormType(Enum):
 
 def weights_form(weights) -> FormType:
     """The form of the irreducible with these restricted weights (p odd):
-    symplectic iff the total highest weight is odd."""
+    symplectic iff the total highest weight is odd.  J(a) is L(a - 1)."""
     return FormType.SYMPLECTIC if sum(weights) % 2 else FormType.ORTHOGONAL
+
+
+def lone_copy_admits(own: FormType, ambient: FormType) -> bool:
+    """A lone copy must carry the ambient form, if any, itself; a hyperbolic pair carries both."""
+    return own is ambient or ambient is FormType.NONE
+
+
+def trivial_step(ambient: FormType) -> int:
+    """Trivial lines are quadratic, so a symplectic (or EITHER) form pairs them."""
+    return 2 if ambient in (FormType.SYMPLECTIC, FormType.EITHER) else 1
 
 
 @total_ordering
@@ -141,7 +155,6 @@ class IrreducibleDescriptor(Frozen):
         )
 
     def form_type(self) -> FormType:
-        """Symplectic iff the total highest weight is odd (p odd)."""
         return weights_form(f.weight for f in self.factors)
 
     def jordan_type(self, p: int) -> JordanType:
@@ -182,8 +195,7 @@ class _IrrCopies(Frozen):
                 raise WeightError(f"weight {f.weight} is not restricted for p = {p}")
 
     def admits(self, form: FormType) -> bool:
-        # a hyperbolic pair carries both a symplectic and an orthogonal form
-        return self.copies == 2 or self.module.form_type() is form
+        return self.copies == 2 or lone_copy_admits(self.module.form_type(), form)
 
     def check_realizable(self, p: int) -> None:
         ffmatrix._check_int64_exact(1, p)
@@ -205,7 +217,8 @@ class Doubled(_IrrCopies):
 
 
 class _HighWeight(Frozen):
-    """Weyl(c) or Tilting(c), highest weight c in [p, 2p-2]."""
+    """Weyl(c) or Tilting(c), highest weight c in [p, 2p-2].  Only witness
+    checks ask their form, which need not split off non-degenerately."""
 
     weight: int
 
@@ -222,10 +235,7 @@ class _HighWeight(Frozen):
             )
 
     def admits(self, form: FormType) -> bool:
-        # parity of the highest weight, as for irreducibles.  These forms
-        # need not split off non-degenerately; only witness checking
-        # consults them, never the enumeration.
-        return form is (FormType.SYMPLECTIC if self.weight % 2 else FormType.ORTHOGONAL)
+        return lone_copy_admits(weights_form((self.weight,)), form)
 
     def sort_key(self, p: int):
         return (False, -self.dimension(p), self.rank, (self.weight, (), ()))
@@ -283,9 +293,7 @@ class Trivial(Frozen):
             raise WeightError("trivial multiplicity must be >= 1")
 
     def admits(self, form: FormType) -> bool:
-        # single trivial summands are quadratic spaces; a symplectic form
-        # needs them in pairs
-        return form is FormType.ORTHOGONAL or self.multiplicity % 2 == 0
+        return self.multiplicity % trivial_step(form) == 0
 
     @property
     def text(self) -> str:
@@ -359,7 +367,7 @@ def jordan_type(d: ModuleDescriptor) -> JordanType:
 
 def admits_form(d: ModuleDescriptor, form: FormType) -> bool:
     """True if every summand is admissible for the ambient form."""
-    return form is FormType.NONE or all(s.admits(form) for s in d.summands)
+    return all(s.admits(form) for s in d.summands)
 
 
 def form_type(d: ModuleDescriptor) -> FormType:

@@ -6,10 +6,11 @@ from math import prod
 
 import pytest
 
-from a1unicity.classical import SL, SO, Partition, Sp, unicity_verdict, validate
-from a1unicity import selfcheck
+from a1unicity.classical import FAMILY_FORM, SL, SO, Partition, Sp, unicity_verdict, validate
+from a1unicity import enumerator, selfcheck
 from a1unicity.enumerator import (
     _branch_weights,
+    _flag_twists,
     _group_table,
     canonicalize,
     count_table,
@@ -406,6 +407,43 @@ def test_group_flag_counts_match_built_atoms():
     assert groups == 11673
 
 
+def test_one_weight_groups_have_no_atoms_with_both_twist_flags():
+    """Two or more nontrivial blocks multiply to two or more blocks, so a
+    group with a one-weight tuple holds only those, and its flag class 3
+    (twist 0 and max_twist), the one where _flag_twists leaves free < 0,
+    has no atoms.  So the listing never asks for atoms with free < 0."""
+    rows = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for max_twist, max_dim in product((1, 2, 3, 4, 6), (8, 16, 30)):
+            for _, _, tuples, flag_counts in _group_table(p, max_twist, max_dim, max_dim):
+                lengths = {len(weights) for weights in tuples}
+                assert lengths == {1} or 1 not in lengths, (p, max_twist, tuples)
+                for weights, flags in product(tuples, range(4)):
+                    if flag_counts[flags]:
+                        assert _flag_twists(len(weights), max_twist, flags)[2] >= 0
+                rows += 1
+    assert rows == 1492
+
+
+def test_listing_builds_only_the_atoms_its_classes_use(monkeypatch):
+    """At max_twist 10**6 a flag class of L(1) holds 999,999 atoms; each
+    listing below builds the one atom its class uses."""
+    built = []
+
+    def counted(factors):
+        built.append(factors)
+        return IrreducibleDescriptor(factors)
+
+    monkeypatch.setattr(enumerator, "IrreducibleDescriptor", counted)
+    for blocks, classes in (
+        ((2, 1), ("L(1)+triv",)), ((4, 1, 1), ("L(3)+2*triv",)), ((3,), ("L(2)",)),
+    ):
+        built.clear()
+        res = enumerate_embeddings(FormType.NONE, sum(blocks), blocks, 5, 10**6)
+        assert tuple(map(str, res.classes)) == classes
+        assert len(built) == 1, blocks
+
+
 def test_sp26_and_sp28_at_p13_are_answered_and_agree():
     """Every valid Sp(26) and Sp(28) partition at p = 13 with blocks
     below p fits the search budget, and the classifier agrees with the
@@ -649,7 +687,7 @@ def test_enumeration_below_block_p_does_not_depend_on_p():
                     validate(g, Partition(blocks), p)
                 except ValidationError:
                     continue
-                form = selfcheck._FORM[g.family]
+                form = FAMILY_FORM[g.family]
                 a = enumerate_embeddings(form, dim, blocks, p)
                 b = enumerate_embeddings(form, dim, blocks, q)
                 assert (a.count, a.growth_flag) == (b.count, b.growth_flag), (g, blocks)
@@ -672,7 +710,7 @@ def test_shared_search_equals_the_search_at_each_prime():
     ):
         if res is not shared:
             shared, searches = res, searches + 1
-        own = enumerate_embeddings(selfcheck._FORM[g.family], g.dimension, part, p)
+        own = enumerate_embeddings(FAMILY_FORM[g.family], g.dimension, part, p)
         assert (own.count, own.growth_flag) == (res.count, res.growth_flag), (g, part, p)
         queries += 1
     assert (queries, searches) == (2340, 717)
@@ -746,7 +784,7 @@ def test_witness_pairs_are_two_listed_classes():
                         continue
                     first, second = map(canonicalize, pair)
                     listed = enumerate_embeddings(
-                        selfcheck._FORM[g.family], g.dimension, blocks, p
+                        FAMILY_FORM[g.family], g.dimension, blocks, p
                     ).classes
                     assert first != second and first in listed and second in listed, (
                         g, blocks, p,

@@ -1,4 +1,6 @@
+import hashlib
 from dataclasses import FrozenInstanceError
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,8 @@ from a1unicity.sl2modules import (
     Weyl,
     admits_form,
     check_realizable,
+    lone_copy_admits,
+    trivial_step,
     dimension,
     form_type,
     format_descriptor,
@@ -82,6 +86,60 @@ def test_admits_form():
     # odd number of trivial lines cannot pair up symplectically
     assert not admits_form(parse_descriptor("L(3)+triv", 5), FormType.SYMPLECTIC)
     assert admits_form(parse_descriptor("L(3)+2*triv", 5), FormType.SYMPLECTIC)
+
+
+def test_form_rules():
+    """A lone copy must carry the ambient form itself, if there is one;
+    trivial lines pair up under a symplectic (or EITHER) form."""
+    admitted = {(own, ambient) for own in FormType for ambient in FormType
+                if lone_copy_admits(own, ambient)}
+    assert admitted == {(own, FormType.NONE) for own in FormType} | {
+        (FormType.SYMPLECTIC,) * 2, (FormType.ORTHOGONAL,) * 2, (FormType.EITHER,) * 2,
+    }
+    assert [trivial_step(f) for f in FormType] == [2, 1, 2, 1]
+
+
+def _grammar_descriptors(p, max_dim):
+    """Every descriptor of dimension <= max_dim that the grammar spells
+    with each irreducible's weights, in any order, at twists 0, 1, ...:
+    a multiset of Irr, Doubled, Weyl and Tilting summands plus r >= 0
+    trivial lines."""
+    irrs = [
+        IrreducibleDescriptor(tuple(map(IrreducibleFactor, weights, range(k))))
+        for k in (1, 2, 3)
+        for weights in product(range(1, p), repeat=k)
+    ]
+    kinds = [Irr(m) for m in irrs] + [Doubled(m) for m in irrs]
+    kinds += [kind(c) for kind in (Weyl, Tilting) for c in range(p, 2 * p - 1)]
+    kinds = [s for s in kinds if s.dimension(p) <= max_dim]
+    out = []
+
+    def rec(start, room, acc):
+        for r in range(0 if acc else 1, room + 1):
+            out.append(ModuleDescriptor(tuple(acc) + ((Trivial(r),) if r else ()), p))
+        for i in range(start, len(kinds)):
+            d = kinds[i].dimension(p)
+            if d <= room:
+                acc.append(kinds[i])
+                rec(i, room - d, acc)
+                acc.pop()
+
+    rec(0, max_dim, [])
+    return out
+
+
+def test_form_answers_frozen():
+    """form_type and admits_form under all four forms, for every grammar
+    descriptor up to dimension 8 at p in (3, 5, 7), hash to a frozen
+    digest."""
+    lines = []
+    for p in (3, 5, 7):
+        for d in _grammar_descriptors(p, 8):
+            admits = "".join("01"[admits_form(d, f)] for f in FormType)
+            lines.append(f"{p} {format_descriptor(d)} {form_type(d).value} {admits}")
+    assert len(lines) == 328
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "cab311189b17549263888f69ce6afca9ed5bd81d07c9b8a5f2ec92dc956925e0"
 
 
 def test_realize_examples():
