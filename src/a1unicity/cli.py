@@ -7,37 +7,54 @@ lists), so identical inputs always produce byte-identical output.
 
 Exit codes: 0 success, 1 domain error (out of scope, unknown label, bad
 prime, ...), 2 usage error.
+
+Importing this module registers every package module in sys.modules and
+on the package, but executes only errors: the others are bound lazily
+and run on their first attribute access, so a cold query compiles only
+the modules its subcommand reads (tensor: ffmatrix and jordan; module:
+also sl2modules; classify classical and witnesses: also classical;
+classify exceptional: ffmatrix and atlas; enumerate: also enumerator;
+selfcheck: all of them).  Handlers read each name on its module at call
+time, so a patch on the module shows through.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from functools import cache
 
-from . import atlas, selfcheck
-from .classical import (
-    Family,
-    GroupFamily,
-    Partition,
-    VerdictKind,
-    unicity_verdict,
-    witnesses,
-)
-from .enumerator import enumerate_embeddings
-from .errors import DomainError, InvalidQueryError
-from .jordan import jnotation, tensor_multi
-from .sl2modules import (
-    FormType,
-    check_realizable,
-    dimension,
-    form_type,
-    format_descriptor,
-    jordan_type,
-    parse_descriptor,
-)
+from .errors import DomainError, InvalidQueryError, VerdictKind
+
+
+def _lazy(name: str):
+    """The package module `name`, registered in sys.modules and on the
+    package but executed on its first attribute access (importlib's
+    LazyLoader recipe); a module already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# ffmatrix too, which no handler reads: an outside tracer that imports
+# only this module finds every package module in sys.modules
+ffmatrix = _lazy("ffmatrix")
+jordan = _lazy("jordan")
+sl2modules = _lazy("sl2modules")
+classical = _lazy("classical")
+atlas = _lazy("atlas")
+enumerator = _lazy("enumerator")
+selfcheck = _lazy("selfcheck")
 
 
 class _UsageError(Exception):
@@ -50,9 +67,9 @@ class _UsageError(Exception):
 MAX_MODULE_DIMENSION = 10**6
 
 
-def _partition_arg(text: str) -> Partition:
+def _partition_arg(text: str) -> classical.Partition:
     try:
-        return Partition.from_string(text)
+        return classical.Partition.from_string(text)
     except ValueError as err:
         raise _UsageError(f"--partition: {err}") from None
 
@@ -67,24 +84,14 @@ def _sizes_arg(text: str) -> list[int]:
     return sizes
 
 
-_FAMILY_BY_FLAG = {
-    "A": Family.SL,
-    "SL": Family.SL,
-    "C": Family.SP,
-    "SP": Family.SP,
-    "B": Family.SO,
-    "D": Family.SO,
-    "SO": Family.SO,
-}
+# --family flag -> classical.Family member name
+_FAMILY_BY_FLAG = {"A": "SL", "SL": "SL", "C": "SP", "SP": "SP", "B": "SO", "D": "SO", "SO": "SO"}
 
-_FORM_BY_FLAG = {
-    "none": FormType.NONE,
-    "symplectic": FormType.SYMPLECTIC,
-    "orthogonal": FormType.ORTHOGONAL,
-}
+# --form choices, each the value of its sl2modules.FormType
+_FORMS = ["none", "orthogonal", "symplectic"]
 
 
-def _group_arg(family: str, dim: int) -> GroupFamily:
+def _group_arg(family: str, dim: int) -> classical.GroupFamily:
     fam = _FAMILY_BY_FLAG.get(family.upper())
     if fam is None:
         raise _UsageError(f"--family: unknown family {family!r}")
@@ -93,12 +100,12 @@ def _group_arg(family: str, dim: int) -> GroupFamily:
     if family.upper() == "D" and dim % 2 == 1:
         raise _UsageError("--family D needs even dimension (use B)")
     try:
-        return GroupFamily(fam, dim)
+        return classical.GroupFamily(classical.Family[fam], dim)
     except DomainError as err:
         raise _UsageError(str(err)) from None
 
 
-def _classical_query(args) -> tuple[GroupFamily, Partition, dict]:
+def _classical_query(args) -> tuple[classical.GroupFamily, classical.Partition, dict]:
     """The group, the partition (--dim defaults to its total) and the JSON
     input of a classify classical or witnesses query."""
     part = _partition_arg(args.partition)
@@ -131,41 +138,41 @@ def _cmd_tensor(args, out) -> int:
             raise InvalidQueryError(
                 f"tensor dimension exceeds the answer budget {MAX_MODULE_DIMENSION}"
             )
-    t = tensor_multi(sizes, args.p)
+    t = jordan.tensor_multi(sizes, args.p)
     _emit(args, out, {"p": args.p, "sizes": sizes},
           {"blocks": list(t.blocks), "dimension": t.dimension},
           "tensor decomposition of full Jordan blocks mod p", [
               " x ".join(f"J{m}" for m in sizes) + f"  (mod {args.p})",
-              f"  = {jnotation(t.blocks)}   [dim {t.dimension}]",
+              f"  = {jordan.jnotation(t.blocks)}   [dim {t.dimension}]",
           ])
     return 0
 
 
 def _cmd_module(args, out) -> int:
-    d = parse_descriptor(args.descriptor, args.p)
-    dim = dimension(d)
+    d = sl2modules.parse_descriptor(args.descriptor, args.p)
+    dim = sl2modules.dimension(d)
     if dim > MAX_MODULE_DIMENSION:
         raise InvalidQueryError(
             f"module dimension {dim} exceeds the answer budget {MAX_MODULE_DIMENSION}"
         )
-    t = jordan_type(d)
+    t = sl2modules.jordan_type(d)
     try:
-        check_realizable(d)
+        sl2modules.check_realizable(d)
         realizable = True
     except DomainError:
         realizable = False
-    canonical, form = format_descriptor(d), form_type(d).value
+    canonical, form = sl2modules.format_descriptor(d), sl2modules.form_type(d).value
     _emit(args, out, {"p": args.p, "descriptor": args.descriptor}, {
         "canonical": canonical,
         "dimension": dim,
         "blocks": list(t.blocks),
-        "jordan_type": jnotation(t.blocks),
+        "jordan_type": jordan.jnotation(t.blocks),
         "form": form,
         "realizable": realizable,
     }, "module arithmetic: dimension, Jordan type, invariant form", [
         f"module    {canonical}   (p = {args.p})",
         f"dimension {dim}",
-        f"type      {jnotation(t.blocks)}",
+        f"type      {jordan.jnotation(t.blocks)}",
         f"form      {form}",
         f"matrix    {'available' if realizable else 'not realizable'}",
     ])
@@ -174,14 +181,14 @@ def _cmd_module(args, out) -> int:
 
 def _cmd_classify_classical(args, out) -> int:
     g, part, query = _classical_query(args)
-    v = unicity_verdict(g, part, args.p)
+    v = classical.unicity_verdict(g, part, args.p)
     result = {"verdict": v.kind.value}
-    human = [f"{g}, u = {jnotation(part.parts)}, p = {args.p}: {v.kind.value}"]
+    human = [f"{g}, u = {jordan.jnotation(part.parts)}, p = {args.p}: {v.kind.value}"]
     if v.reason:
         result["reason"] = v.reason
         human.append(f"  reason: {v.reason}")
     if v.witness_pair:
-        pair = [format_descriptor(d) for d in v.witness_pair]
+        pair = [sl2modules.format_descriptor(d) for d in v.witness_pair]
         result["witnesses"] = sorted(pair)
         human.append("  witnesses: " + "  |  ".join(pair))
     _emit(args, out, query, result,
@@ -205,8 +212,8 @@ def _cmd_classify_exceptional(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     part = _partition_arg(args.partition)
     dim = args.dim if args.dim is not None else part.n
-    form = _FORM_BY_FLAG[args.form]
-    res = enumerate_embeddings(
+    form = sl2modules.FormType(args.form)
+    res = enumerator.enumerate_embeddings(
         form, dim, part, args.p, args.max_twist, distinct_irr=args.distinct_irr
     )
     query = {
@@ -226,7 +233,7 @@ def _cmd_enumerate(args, out) -> int:
         listing = [f"  {c}" for c in result["classes"]] or ["  (none)"]
     growth = "count grows with the twist bound" if res.growth_flag else "count stable"
     _emit(args, out, query, result, "completely reducible module enumeration", [
-        f"{args.form} structures with type {jnotation(part.parts)} on dim {dim}, "
+        f"{args.form} structures with type {jordan.jnotation(part.parts)} on dim {dim}, "
         f"p = {args.p}, twists <= {args.max_twist}:",
         *listing,
         f"count {res.count}; {growth}",
@@ -236,10 +243,10 @@ def _cmd_enumerate(args, out) -> int:
 
 def _cmd_witnesses(args, out) -> int:
     g, part, query = _classical_query(args)
-    pair = [format_descriptor(d) for d in witnesses(g, part, args.p)]
+    pair = [sl2modules.format_descriptor(d) for d in classical.witnesses(g, part, args.p)]
     _emit(args, out, query, {"witnesses": pair},
           "explicit non-conjugate overgroup constructions",
-          [f"{g}, u = {jnotation(part.parts)}, p = {args.p}:", *(f"  {w}" for w in pair)])
+          [f"{g}, u = {jordan.jnotation(part.parts)}, p = {args.p}:", *(f"  {w}" for w in pair)])
     return 0
 
 
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command(sub, "enumerate", _cmd_enumerate,
                  "completely reducible structures with a given type")
-    sp.add_argument("--form", choices=sorted(_FORM_BY_FLAG), required=True)
+    sp.add_argument("--form", choices=_FORMS, required=True)
     sp.add_argument("--dim", type=int, help="default: partition total")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--partition", required=True)

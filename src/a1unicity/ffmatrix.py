@@ -36,13 +36,15 @@ reduced entry minus the product of two), within +-n*(p-1)^2 where a
 product is subtracted.  The first tier covers every prime up to 61 at
 any admitted size.  From p = 67 on, inputs of MAX_DIMENSION rows
 stay in the float64 tier and keep its cost: Sym^4095 at p = 4099
-(n = 4096) takes about 16 s and peaks at 677 MB.  The oracle's peak
-working set is [N | I] in the storage width plus one n x n matrix: the
-int64 copy that PrimeField.reduce makes of the input while [N | I] is
-filled, or step_map later.  tracemalloc reads 14.8 MB for J(31) x J(31)
-(n = 961) and 43.0 MB for J(40) x J(41) at p = 41 (n = 1640), both in
-the int32 tier, about half of the 28.9 and 84.5 MB that int64 storage
-of the same matrices takes.  rank keeps int64 throughout.
+(n = 4096) takes about 16-19 s and peaks at 549 MB RSS.  The oracle's
+peak working set is [N | I] in the storage width plus step_map, at most
+n x n in the product width: the input is reduced straight into [N | I]
+and step_map is filled without a temporary.  tracemalloc reads 11.5 MB
+for J(31) x J(31) at p = 31 (n = 961) and 33.1 MB for J(40) x J(41) at
+p = 41 (n = 1640), both in the int32 tier, or about 12.4 n^2 bytes; an
+int64 copy of the input beside [N | I] made it 16 n^2 (14.8 and
+43.0 MB), and int64 storage of the same matrices takes 22.9 and
+66.1 MB.  rank keeps int64 throughout.
 
 rank and jordan_block_sizes raise ShapeError unless n*(p-1)^2 < 2^63,
 above MAX_DIMENSION rows or columns and for ragged rows; kronecker and
@@ -56,9 +58,8 @@ have entries in GF(p), and the Frobenius endomorphism fixes them.
 numpy is imported by each function that builds or reduces a matrix, on
 its first call, not with the module: the closed-form queries (tensor,
 module, classify, witnesses, enumerate) build no matrix and never load
-it.  The module itself still loads with the package, because is_prime
-and PrimeField serve every query, selfcheck imports the matrix
-functions, and the benchmark tracer wraps them by module name.
+it.  The module itself runs for every one of those queries, because
+is_prime or PrimeField serves each of them (through atlas or jordan).
 """
 
 from __future__ import annotations
@@ -146,18 +147,24 @@ class PrimeField(Frozen):
             raise NotPrimeError(f"{p} is not a prime")
         object.__setattr__(self, "p", p)
 
-    def reduce(self, a) -> np.ndarray:
-        """Return a as an int64 array with entries in 0..p-1.
+    def reduce(self, a, out: np.ndarray | None = None) -> np.ndarray:
+        """Return a as an int64 array with entries in 0..p-1, or write
+        those entries into out (an integer array of a's shape that holds
+        0..p-1) and return it.
 
         Integer entries of any size are reduced exactly.  Any other entry
         (a float, a complex number, a string, ...) raises ShapeError: a
-        cast to int64 would truncate, drop or parse it.
+        cast to int64 would truncate, drop or parse it.  Signed and bool
+        arrays are reduced into out directly, through numpy's small
+        casting buffer, so no full-size int64 copy is made.
         """
         import numpy as np
 
         a = np.asarray(a)
         if a.dtype.kind in "bi":
-            return a.astype(np.int64, copy=False) % self.p
+            if out is None:
+                return a.astype(np.int64, copy=False) % self.p
+            return np.remainder(a, np.int64(self.p), out=out, casting="unsafe")
         # any other array is checked entry by entry; unsigned and Python
         # integers may exceed int64, so they are reduced as Python integers
         for x in a.flat:
@@ -165,7 +172,11 @@ class PrimeField(Frozen):
                 raise ShapeError(
                     f"matrix entries must be integers, not {type(x).__name__}"
                 )
-        return (a.astype(object) % self.p).astype(np.int64)
+        reduced = (a.astype(object) % self.p).astype(np.int64)
+        if out is None:
+            return reduced
+        out[...] = reduced
+        return out
 
     def inverse(self, a: int) -> int:
         a = int(a) % self.p
@@ -466,7 +477,8 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     float64 products while n*(p-1)^2 < 2^53, int64 throughout beyond
     (_product_dtype, _storage_dtype).  Each product has inner dimension
     at most n, so its partial sums are integers below n*(p-1)^2.  The
-    peak working set is [N | I] plus one n x n matrix (see the module
+    peak working set is [N | I] plus step_map: 11.5 MB for J(31) x J(31)
+    at p = 31, about 12.4 n^2 bytes in the int32 tier (see the module
     docstring).
 
     N^s is never formed; the kernel chain is walked instead.  One
@@ -497,7 +509,7 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     storage = _storage_dtype(dtype)
     # [N | I] with N = m - I
     aug = np.zeros((n, 2 * n), dtype=storage)
-    aug[:, :n] = field.reduce(m)
+    field.reduce(m, out=aug[:, :n])
     diagonal = np.arange(n)
     aug[diagonal, diagonal] = (aug[diagonal, diagonal] - 1) % p
     aug[diagonal, n + diagonal] = 1
@@ -512,9 +524,13 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     # is the right half of the reduced rows: for x in im N, the y with
     # y[pivot] = right @ x and y[free] = 0 solves N y = x, and
     # z(y) = (right @ x) @ step_map.
-    step_map = np.empty((r, kappa + r), dtype=dtype)
-    step_map[:, :kappa] = left[:, pivot].T
-    step_map[:, kappa:] = reduced[:, n + pivot].T
+    # built as its transpose, so that take copies the pivot columns of
+    # the reduced rows straight into it: every index is in range, and
+    # mode="clip", unlike the default "raise", needs no temporary copy
+    step_t = np.empty((kappa + r, r), dtype=dtype)
+    step_t[:kappa] = left[:, pivot]
+    np.take(reduced, n + pivot, axis=1, out=step_t[kappa:], mode="clip")
+    step_map = step_t.T
     # the kernel of N: for each free column f, e_f minus the reduced rows'
     # entries of column f at the pivot columns
     z = np.empty((kappa, kappa + r), dtype=storage)

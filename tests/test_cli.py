@@ -271,71 +271,139 @@ def test_tensor_dimension_budget_exits_one():
     assert payload["result"]["blocks"] == list(range(1999, 0, -2))
 
 
+# each query, with the package modules it executes besides cli and errors
 _QUERIES_WITHOUT_MATRICES = [
-    ["tensor", "-p", "7", "2,5"],
-    ["module", "-p", "5", "L(1)*L(3)@1+2*triv"],
-    ["classify", "classical", "--family", "C", "--dim", "10", "--p", "7",
-     "--partition", "6,1,1,1,1"],
-    ["classify", "exceptional", "--group", "E7", "--p", "7", "--label", "A6"],
-    ["witnesses", "--family", "Sp", "--p", "5", "--partition", "5,5"],
-    ["enumerate", "--form", "orthogonal", "--p", "5", "--dim", "8",
-     "--partition", "5,3"],
+    (["tensor", "-p", "7", "2,5"], "ffmatrix jordan"),
+    (["module", "-p", "5", "L(1)*L(3)@1+2*triv"], "ffmatrix jordan sl2modules"),
+    (["classify", "classical", "--family", "C", "--dim", "10", "--p", "7",
+      "--partition", "6,1,1,1,1"], "classical ffmatrix jordan sl2modules"),
+    (["classify", "exceptional", "--group", "E7", "--p", "7", "--label", "A6"],
+     "atlas ffmatrix"),
+    (["witnesses", "--family", "Sp", "--p", "5", "--partition", "5,5"],
+     "classical ffmatrix jordan sl2modules"),
+    (["enumerate", "--form", "orthogonal", "--p", "5", "--dim", "8", "--partition", "5,3"],
+     "classical enumerator ffmatrix jordan sl2modules"),
 ]
-
+_QUERY_ARGVS = [argv for argv, _ in _QUERIES_WITHOUT_MATRICES]
 
 _STDLIB_NOT_LOADED = (
     "importlib.resources", "pathlib", "tempfile", "shutil", "urllib", "dataclasses", "inspect",
 )
 
+# the package modules a child has executed: a lazily bound module is
+# registered as a subclass of ModuleType until its body runs
+_EXECUTED = """
+import os, sys, types
+import a1unicity
+_names = [f[:-3] for f in os.listdir(os.path.dirname(a1unicity.__file__))
+          if f.endswith(".py") and not f.startswith("__")]
+def executed():
+    return sorted(m for m in _names
+                  if type(sys.modules.get("a1unicity." + m)) is types.ModuleType)
+"""
+
+
+def _run_script(script, *flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 def test_queries_do_not_load_numpy():
-    """The closed-form queries answer without numpy; the package still
-    loads ffmatrix and selfcheck, and the first matrix operation loads it.
-    Without site (whose .pth files may import them anyway): the package
-    loads none of its modules, atlas loads only what it needs, cli loads
-    every module, the package imports none of _STDLIB_NOT_LOADED (its
-    value classes are plain classes, so neither dataclasses nor inspect
-    loads), and the queries load none of them but shutil, which
-    argparse's help formatter imports for the terminal width."""
-    script = f"""
+    """The closed-form queries answer without numpy, and the first matrix
+    operation loads it.  Without site (whose .pth files may import them
+    anyway): the package loads none of its modules, atlas loads only what
+    it needs, cli registers every module but executes only errors and
+    itself, the package imports none of _STDLIB_NOT_LOADED (its value
+    classes are plain classes, so neither dataclasses nor inspect loads),
+    and the queries load none of them but shutil, which argparse's help
+    formatter imports for the terminal width.  Each query, in a fresh
+    process, executes exactly the modules listed with it, and
+    a1u selfcheck executes them all."""
+    _run_script(f"""
 import io, sys
 from a1unicity import cli
-assert "a1unicity.ffmatrix" in sys.modules and "a1unicity.selfcheck" in sys.modules
 assert "numpy" not in sys.modules, "import"
-for argv in {_QUERIES_WITHOUT_MATRICES!r}:
+for argv in {_QUERY_ARGVS!r}:
     assert cli.run(argv + ["--json"], out=io.StringIO()) == 0, argv
     assert "numpy" not in sys.modules, argv
 from a1unicity import jordan
 assert jordan.tensor_pair_oracle(3, 5, 7).blocks == (7, 5, 3)
 assert "numpy" in sys.modules
-"""
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    script = f"""
-import io, os, sys
+""")
+    _run_script(f"""
+import sys
 import a1unicity
 assert [m for m in sys.modules if m.startswith("a1unicity.")] == [], "package"
 import a1unicity.atlas
 loaded = [m for m in ("classical", "enumerator", "jordan", "sl2modules", "selfcheck",
                       "numpy") if m in sys.modules or "a1unicity." + m in sys.modules]
 assert not loaded, ("atlas", loaded)
+""", "-S")
+    _run_script(_EXECUTED + f"""
+import io
 from a1unicity import cli
-modules = ["a1unicity." + f[:-3] for f in os.listdir(os.path.dirname(a1unicity.__file__))
-           if f.endswith(".py") and not f.startswith("__")]
-assert modules and all(m in sys.modules for m in modules), "cli"
+assert all("a1unicity." + m in sys.modules for m in _names), "registered"
+assert executed() == ["cli", "errors"], executed()
 loaded = [m for m in {_STDLIB_NOT_LOADED!r} if m in sys.modules]
 assert not loaded, ("import", loaded)
-for argv in {_QUERIES_WITHOUT_MATRICES!r}:
+for argv in {_QUERY_ARGVS!r}:
     assert cli.run(argv + ["--json"], out=io.StringIO()) == 0, argv
 loaded = [m for m in {_STDLIB_NOT_LOADED!r} if m in sys.modules]
 assert loaded == ["shutil"], loaded
-"""
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
+""", "-S")
+    for argv, modules in _QUERIES_WITHOUT_MATRICES:
+        got = _run_script(_EXECUTED + f"""
+import io
+from a1unicity import cli
+assert cli.run({argv + ["--json"]!r}, out=io.StringIO()) == 0
+assert "numpy" not in sys.modules
+print(" ".join(executed()))
+""", "-S")
+        assert got.split() == sorted(["cli", "errors", *modules.split()]), argv
+    _run_script(_EXECUTED + """
+import io
+from a1unicity import cli
+assert cli.run(["selfcheck", "--quick"], out=io.StringIO()) == 0
+assert executed() == sorted(_names), executed()
+""")
+
+
+def test_tracer_contract_holds_on_lazily_bound_modules():
+    """An outside tracer that imports only a1unicity.cli finds every
+    package module in sys.modules; vars() on a module executes it and
+    shows the functions to wrap, and the command reads each function on
+    its module at call time, so a wrapper set there counts the call."""
+    _run_script(_EXECUTED + """
+import io
+from a1unicity import cli
+wrapped = {
+    "atlas": "verdict",
+    "classical": "unicity_verdict witnesses",
+    "sl2modules": "parse_descriptor format_descriptor realize IrreducibleDescriptor",
+    "jordan": "tensor_pair tensor_multi tensor_pair_oracle",
+    "ffmatrix": "jordan_block_sizes rank kronecker sym_power",
+    "enumerator": "enumerate_embeddings dn_partition_list partitions_bounded jordan_menu "
+                  "canonicalize",
+    "selfcheck": "run_selfcheck check_tensor_oracle check_atlas",
+}
+for name in _names:
+    module = sys.modules["a1unicity." + name]
+    names = vars(module)
+    assert type(module) is types.ModuleType, name
+    assert all(callable(names[f]) for f in wrapped.get(name, "").split()), name
+assert len(vars(sys.modules["a1unicity.selfcheck"])["SUITES"]) == 9
+jordan = sys.modules["a1unicity.jordan"]
+original, calls = jordan.tensor_multi, []
+def counted(*args, **kwargs):
+    calls.append(args)
+    return original(*args, **kwargs)
+jordan.tensor_multi = counted
+assert cli.run(["tensor", "-p", "7", "2,5"], out=io.StringIO()) == 0
+assert calls == [([2, 5], 7)], calls
+""")
 
 
 def test_package_names_resolve_in_their_modules(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -300,6 +301,40 @@ def test_reduce_refuses_string_entries():
     with pytest.raises(ShapeError) as err:
         jordan_block_sizes([["1", "1"], ["0", "1"]], PrimeField(5))
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[True, False], [False, True]]),
+    np.array([[-1, 12], [-13, 0]], dtype=np.int8),
+    np.array([[-1, 12], [-13, 0]], dtype=np.int32),
+    np.array([[-1, 12], [-13, 0]], dtype=np.int64),
+    np.array([[255, 12], [13, 0]], dtype=np.uint8),
+    np.array([[-1, 10**30], [-13, 0]], dtype=object),
+], ids=["bool", "int8", "int32", "int64", "uint8", "object"])
+@pytest.mark.parametrize("p", [5, 100000007])
+def test_reduce_into_out_matches_reduce(a, p):
+    field = PrimeField(p)
+    for out_dtype in (np.int32, np.int64):
+        out = np.full(a.shape, 7, dtype=out_dtype)
+        assert field.reduce(a, out=out) is out
+        assert out.tolist() == field.reduce(a).tolist() == (a.astype(object) % p).tolist()
+
+
+def test_oracle_peak_is_its_working_set():
+    """J(31) x J(31) at p = 31 runs in the int32 tier: [N | I] takes 8 n^2
+    bytes and step_map at most 4 n^2.  The input is reduced straight into
+    [N | I], so no int64 copy of it (8 n^2 more) is made."""
+    field = PrimeField(31)
+    block = unipotent_jordan_block(field, 31)
+    m = kronecker(block, block, field)
+    n = m.shape[0]
+    tracemalloc.start()
+    try:
+        assert jordan_block_sizes(m, field) == (31,) * 31
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n * n < peak < 13 * n * n
 
 
 # product width -> storage width of each tier, and a prime whose products
