@@ -35,6 +35,7 @@ confirms both families.
 from __future__ import annotations
 
 from enum import Enum
+from operator import lt
 
 from .errors import (
     BadPrimeError,
@@ -77,7 +78,7 @@ class GroupFamily(Frozen):
     def __init__(self, family: Family, dimension: int):
         if dimension < 2:
             raise InvalidQueryError(f"natural module dimension {dimension} < 2")
-        if family is Family.SP and dimension % 2:
+        if dimension % 2 and family is Family.SP:
             raise InvalidQueryError("symplectic groups need even dimension")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "dimension", dimension)
@@ -104,12 +105,12 @@ class Partition(Frozen):
     parts: tuple[int, ...]
 
     def __init__(self, parts):
-        parts = tuple(int(x) for x in parts)
+        parts = tuple(map(int, parts))
         if not parts:
             raise ValueError("empty partition")
-        if any(x < 1 for x in parts):
+        if min(parts) < 1:
             raise ValueError(f"nonpositive part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts not descending: {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -143,6 +144,13 @@ class Verdict(Frozen):
 _MIN_DIM = {Family.SL: 2, Family.SP: 4, Family.SO: 7}
 FAMILY_FORM = {Family.SL: FormType.NONE, Family.SP: FormType.SYMPLECTIC,
                Family.SO: FormType.ORTHOGONAL}
+# per family, whether a lone block J(a) carries the family's form, for
+# even and for odd a: sl2modules' rule, asked once per family here so that
+# no query reads a FormType member
+_LONE_OK = {
+    family: tuple(lone_copy_admits(weights_form((a - 1,)), form) for a in (2, 1))
+    for family, form in FAMILY_FORM.items()
+}
 
 
 def validate(group: GroupFamily, partition: Partition, p: int) -> None:
@@ -151,15 +159,15 @@ def validate(group: GroupFamily, partition: Partition, p: int) -> None:
     not."""
     if not is_prime(p):
         raise BadPrimeError(f"{p} is not prime")
-    if group.family is not Family.SL and p == 2:
+    if p == 2 and group.family is not Family.SL:
         raise BadPrimeError(f"p = 2 is a bad prime for {group}")
     if partition.n != group.dimension:
         raise DimensionMismatchError(
             f"partition of {partition.n} vs natural module of dim {group.dimension}"
         )
+    lone_ok = _LONE_OK[group.family]
     for size in set(partition.parts):
-        lone_ok = lone_copy_admits(weights_form((size - 1,)), FAMILY_FORM[group.family])
-        if not lone_ok and partition.multiplicity(size) % 2:
+        if not lone_ok[size % 2] and partition.multiplicity(size) % 2:
             raise ParityViolationError(
                 f"{'odd' if size % 2 else 'even'} block size {size} "
                 "occurs an odd number of times"
@@ -228,7 +236,7 @@ def unicity_verdict(group: GroupFamily, partition: Partition, p: int) -> Verdict
         )
     parts = partition.parts
     a = parts[0]
-    head = 1 if lone_copy_admits(weights_form((a - 1,)), FAMILY_FORM[group.family]) else 2
+    head = 1 if _LONE_OK[group.family][a % 2] else 2
     if parts != (a,) * head + (1,) * (len(parts) - head):
         return Verdict(VerdictKind.NON_UNIQUE)
     pair = _exception_pair(group.family, a, len(parts) - head, p)

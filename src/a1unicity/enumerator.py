@@ -101,11 +101,17 @@ J(m) x J(n) with m + n - 1 <= 1 + (its weight sum) <= b < p, stays in
 the Clebsch-Gordan branch of jordan._tensor_pair_blocks.  The weights,
 the forms (the parity of the weight sum) and the twist flags do not
 see p either.  So the count, the growth flag and the listing are the
-same at every prime above the largest block.  Two tests pin that:
-test_enumeration_below_block_p_does_not_depend_on_p compares two primes
-on every partition of a small range, and
+same at every prime above the largest block.  The tables rely on it:
+when every weight sum is at most p - 2, _tuples and _usable_groups (and
+count_table's, when max_dim <= p - 2) are read at one canonical prime,
+the least prime >= max_sum + 2 (_table_prime), so one table serves
+every prime above the blocks and the caches do not grow with p.
+test_tables_below_block_p_do_not_depend_on_p checks that premise on the
+tables themselves, at three primes above each canonical one.  Two more
+tests pin the answers: test_enumeration_below_block_p_does_not_depend_on_p
+compares two primes on every partition of a small range, and
 test_shared_search_equals_the_search_at_each_prime compares each prime
-of the classifier-vs-enumeration suite.  That suite relies on it: it
+of the classifier-vs-enumeration suite.  That suite relies on it too: it
 enumerates each partition once and reuses the result at every listed
 prime above the blocks.
 
@@ -132,10 +138,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, groupby, islice
-from math import comb, prod
-from operator import attrgetter
-from typing import Callable
+from itertools import combinations, combinations_with_replacement, compress, groupby, islice
+from math import comb
+from operator import attrgetter, sub
+from typing import Callable, NamedTuple
 
 from .errors import Frozen, InvalidQueryError, NotCompletelyReducibleError
 from .ffmatrix import is_prime
@@ -171,6 +177,12 @@ MAX_SEARCH = 100_000
 
 # Bound on the classes one listing builds (about 1 kB each).
 MAX_LISTED = 50_000
+
+# The ambient forms a query may name, and the trivial step of each.  A
+# query is turned into its index here once, so the search and the cache
+# keys read no FormType member and hash none (each costs about 0.1 us).
+_AMBIENT = (FormType.NONE, FormType.SYMPLECTIC, FormType.ORTHOGONAL)
+_TRIVIAL_STEP = tuple(map(trivial_step, _AMBIENT))
 
 
 class EmbeddingClass(Frozen):
@@ -226,7 +238,8 @@ class EnumerationResult(Frozen):
         return self._listing()
 
 
-@lru_cache(maxsize=None)
+# bounded: a full selfcheck keeps none and an enumeration-sweep listing phase 4
+@lru_cache(maxsize=64)
 def _trivial(multiplicity: int) -> Trivial:
     return Trivial(multiplicity)
 
@@ -286,11 +299,27 @@ def _weight_tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
     return grow((), max_dim, max_sum)
 
 
-@lru_cache(maxsize=None)
+# bounded: a full selfcheck reads 110 tables and an enumeration-sweep phase at most 59
+@lru_cache(maxsize=256)
 def _tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
     """The first MAX_SEARCH + 1 of _weight_tuples(p, max_twist, max_dim,
     max_sum), so walking them stays bounded for any input."""
     return tuple(islice(_weight_tuples(p, max_twist, max_dim, max_sum), MAX_SEARCH + 1))
+
+
+# bounded: a full selfcheck asks for 11 and an enumeration-sweep phase at most 5
+@lru_cache(maxsize=64)
+def _least_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _table_prime(p: int, max_sum: int) -> int:
+    """The prime whose tables serve weight sums up to max_sum at p: the
+    least prime >= max_sum + 2 when max_sum <= p - 2, since below block p
+    the tables do not depend on p (see the module docstring), else p."""
+    return _least_prime(max_sum + 2) if max_sum <= p - 2 else p
 
 
 def _flag_twists(k: int, max_twist: int, flags: int):
@@ -303,7 +332,8 @@ def _flag_twists(k: int, max_twist: int, flags: int):
     return low, high, k - len(low) - len(high)
 
 
-@lru_cache(maxsize=None)
+# bounded: a full selfcheck or an enumeration-sweep phase keeps at most 6
+@lru_cache(maxsize=64)
 def _atoms_per_flag(max_twist: int, k: int) -> tuple[int, ...]:
     """How many k-subsets of twists 0..max_twist have each flag value."""
     out = []
@@ -313,7 +343,9 @@ def _atoms_per_flag(max_twist: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# bounded: a full selfcheck keeps 121, an enumeration-sweep phase at most 56, and one
+# D = 50 table (dn_partition_list(25, 13)) 217
+@lru_cache(maxsize=1024)
 def _group_key(p: int, weights: tuple[int, ...]):
     """((block size, count) pairs, form type) of the atoms with these
     weights: twists change neither the Jordan type nor the form.  Weight
@@ -323,7 +355,8 @@ def _group_key(p: int, weights: tuple[int, ...]):
     return tuple(Counter(blocks).items()), weights_form(weights)
 
 
-@lru_cache(maxsize=None)
+# bounded: a full selfcheck reads 110 tables and an enumeration-sweep phase at most 59
+@lru_cache(maxsize=256)
 def _group_table(p: int, max_twist: int, max_dim: int, max_sum: int):
     """The twisted tensor-product irreducibles of _tuples(p, max_twist,
     max_dim, max_sum), with twists drawn from 0..max_twist, grouped by
@@ -369,12 +402,15 @@ def jordan_menu(
     return out
 
 
-@lru_cache(maxsize=None)
-def _usable_groups(form, distinct_irr, p, max_twist, max_dim, max_sum):
+# bounded: a full selfcheck keeps 178 and an enumeration-sweep phase at most 106
+@lru_cache(maxsize=512)
+def _usable_groups(ambient: int, distinct_irr, p, max_twist, max_dim, max_sum):
     """The rows of _group_table(p, max_twist, max_dim, max_sum) with the
-    form replaced by lone_ok (lone_copy_admits), dropping those without
-    it under distinct_irr, where every summand is a lone copy."""
+    form replaced by lone_ok (lone_copy_admits with the ambient form
+    _AMBIENT[ambient]), dropping those without it under distinct_irr,
+    where every summand is a lone copy."""
     table = _group_table(p, max_twist, max_dim, max_sum)
+    form = _AMBIENT[ambient]
     rows = [(j, lone_copy_admits(f, form), t, n) for j, f, t, n in table]
     return tuple(row for row in rows if row[1] or not distinct_irr)
 
@@ -403,9 +439,9 @@ def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
 # search or a whole selfcheck reuses fewer than 50 entries
 @lru_cache(maxsize=256)
 def _branch_weights(flag_counts, lone_ok: bool, distinct_irr: bool, k: int):
-    """(flag union, ways) for each union of twist flags reachable by k
-    copies of a group whose atoms fall into flag classes of these sizes;
-    a class adds its flags to the union iff it gets a copy.
+    """The ways to spread k copies over a group whose atoms fall into flag
+    classes of these sizes, by the union of twist flags they use (index
+    0..3); a class adds its flags to the union iff it gets a copy.
 
     The spreads over the classes whose flags lie within a union V number
     _spread(k, their atoms); the union is exactly U by inclusion-exclusion
@@ -415,15 +451,26 @@ def _branch_weights(flag_counts, lone_ok: bool, distinct_irr: bool, k: int):
                 lone_ok, distinct_irr)
         for v in range(4)
     ]
-    out = []
-    for union in range(4):
-        ways = sum(
-            (-1) ** bin(union ^ v).count("1") * within[v]
-            for v in range(4) if v | union == union
-        )
-        if ways:
-            out.append((union, ways))
-    return tuple(out)
+    return tuple(
+        sum((-1) ** bin(union ^ v).count("1") * within[v]
+            for v in range(4) if v | union == union)
+        for union in range(4)
+    )
+
+
+def _joined(value, ways, tally):
+    """value plus the completions that tally counts by flag union, each
+    joined with the spreads that ways counts by flag union: a spread of
+    union U turns a completion of union u into one of union u | U."""
+    a0, a1, a2, a3 = value
+    w0, w1, w2, w3 = ways
+    t0, t1, t2, t3 = tally
+    return (
+        a0 + w0 * t0,
+        a1 + w0 * t1 + w1 * (t0 + t1),
+        a2 + w0 * t2 + w2 * (t0 + t2),
+        a3 + w0 * t3 + w1 * (t2 + t3) + w2 * (t1 + t3) + w3 * (t0 + t1 + t2 + t3),
+    )
 
 
 def _assignments(atoms: int, lone_ok: bool, distinct_irr: bool, k: int):
@@ -444,21 +491,12 @@ _NONE = (0, 0, 0, 0)
 _LEAF = (1, 0, 0, 0)  # the trivial summand alone adds no twist flag
 
 
-class _Group(Frozen):
+class _Group(NamedTuple):
     tuples: tuple[tuple[int, ...], ...]  # weight tuples of its atoms
     flag_counts: tuple[int, ...]  # atoms per twist-flag value
     need: tuple[int, ...]  # blocks used by one copy, counted per target block size
-    used: tuple[tuple[int, int], ...]  # (size index, count) where need > 0
     lone_ok: bool  # one copy may carry the ambient form itself
-    weights: tuple  # weights[k]: _branch_weights of k copies
-
-    def __init__(self, tuples, flag_counts, need, used, lone_ok, weights):
-        object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "flag_counts", flag_counts)
-        object.__setattr__(self, "need", need)
-        object.__setattr__(self, "used", used)
-        object.__setattr__(self, "lone_ok", lone_ok)
-        object.__setattr__(self, "weights", weights)
+    weights: list  # weights[k - 1]: _branch_weights of k copies, for every k that fits
 
 
 class _Search:
@@ -466,56 +504,52 @@ class _Search:
 
     tally(i, rem)[u] counts the completions over multiplicities of groups
     i, i+1, ... that use up the nontrivial blocks in rem and whose chosen
-    factors have twist-flag union u.
+    factors have twist-flag union u.  The block sizes are descending, so
+    a 1-block, if any, is counted last.
     """
 
-    def __init__(self, groups, sizes, target, form, distinct_irr, p, max_twist):
+    def __init__(self, groups, last, target, has_ones, step, distinct_irr, p, max_twist):
         self.groups = groups
         self.target = target
         self.distinct_irr = distinct_irr
         self.p = p
         self.max_twist = max_twist
-        self.one = sizes.index(1) if 1 in sizes else None
-        self.trivials = _trivial_sizes(trivial_step(form), distinct_irr, self.ones(target))
-        # the last group using each block size: past it, that size is stuck
-        self.last = [
-            max((i for i, g in enumerate(groups) if g.need[j]), default=-1)
-            for j in range(len(sizes))
-        ]
+        self.has_ones = has_ones
+        self.trivials = _trivial_sizes(step, distinct_irr, self.ones(target))
+        # past the last group using a nontrivial block size, that size is
+        # stuck; compress stops at the shorter input, so a 1-block is no stop
+        self.ends = [i + 1 for i in last[:len(last) - has_ones]]
         self.memo: dict = {}
-        self.stops: dict = {}
 
     def ones(self, rem) -> int:
-        return rem[self.one] if self.one is not None else 0
+        return rem[-1] if self.has_ones else 0
 
-    def stop(self, rem) -> int | None:
+    def stop(self, rem) -> int:
         """First group index from which rem can no longer be used up, or
-        None when only 1-blocks remain."""
-        if rem not in self.stops:
-            stuck = [
-                self.last[j] + 1 for j, r in enumerate(rem) if r and j != self.one
-            ]
-            self.stops[rem] = min(stuck) if stuck else None
-        return self.stops[rem]
+        -1 when only 1-blocks remain."""
+        return min(compress(self.ends, rem), default=-1)
 
     def branches(self, i, rem):
         """(k, remaining, weights) for each total multiplicity k >= 1 of
-        group i that some spread over its atoms admits."""
+        group i that fits in rem and that some spread over its atoms
+        admits."""
         group = self.groups[i]
-        k_max = min(rem[j] // n for j, n in group.used)
-        for k in range(1, k_max + 1):
-            weights = group.weights[k]
-            if weights:
-                yield k, tuple(r - k * n for r, n in zip(rem, group.need)), weights
+        r = rem
+        for k, weights in enumerate(group.weights, 1):
+            r = tuple(map(sub, r, group.need))
+            if min(r) < 0:
+                return
+            if any(weights):
+                yield k, r, weights
 
     def tally(self, i, rem) -> tuple[int, int, int, int]:
         memo = self.memo
-        hit = memo.get((i, rem))
-        if hit is not None:
-            return hit
+        value = memo.get((i, rem))
+        if value is not None:
+            return value
         stop = self.stop(rem)
-        if stop is None:
-            memo[(i, rem)] = value = _LEAF if self.ones(rem) in self.trivials else _NONE
+        if stop < 0:
+            memo[i, rem] = value = _LEAF if self.ones(rem) in self.trivials else _NONE
             return value
         # follow k = 0 forward to a known or stuck state, then fill the
         # chain in backwards: the recursion nests only for k >= 1
@@ -523,15 +557,19 @@ class _Search:
         while j < stop and (j, rem) not in memo:
             j += 1
         value = memo.get((j, rem), _NONE)
+        groups, tally = self.groups, self.tally
         for j in range(j - 1, i - 1, -1):
-            acc = list(value)
-            for _, r, weights in self.branches(j, rem):
-                sub = self.tally(j + 1, r)
-                for union, ways in weights:
-                    for u, n in enumerate(sub):
-                        if n:
-                            acc[u | union] += ways * n
-            value = memo[(j, rem)] = tuple(acc)
+            group = groups[j]
+            need = group.need
+            r = rem
+            # self.branches(j, rem), inlined
+            for weights in group.weights:
+                r = tuple(map(sub, r, need))
+                if min(r) < 0:
+                    break
+                if any(weights):
+                    value = _joined(value, weights, tally(j + 1, r))
+            memo[j, rem] = value
         return value
 
     def live(self, i, rem, flags) -> int:
@@ -543,7 +581,7 @@ class _Search:
     def all_trivial_ok(self) -> bool:
         """The structure made of trivial summands only is admissible."""
         ones = self.ones(self.target)
-        return self.stop(self.target) is None and ones > 0 and ones in self.trivials
+        return self.stop(self.target) < 0 and ones > 0 and ones in self.trivials
 
     def classes(self) -> tuple[EmbeddingClass, ...]:
         memo = self.memo
@@ -611,7 +649,7 @@ class _Search:
         def walk(i, rem, flags):
             # some completion of (i, rem, flags) has the twist-0 flag
             stop = self.stop(rem)
-            if stop is None:
+            if stop < 0:
                 out.append(_embedding_class(chosen, self.ones(rem), self.p))
                 return
             here = self.live(i, rem, flags)
@@ -621,8 +659,8 @@ class _Search:
                 rest = self.live(j + 1, rem, flags)
                 if rest != here:
                     for k, r, weights in self.branches(j, rem):
-                        for union, _ in weights:
-                            if not self.live(j + 1, r, flags | union):
+                        for union, ways in enumerate(weights):
+                            if not ways or not self.live(j + 1, r, flags | union):
                                 continue
                             for spread in spreads(j, k, union):
                                 chosen.extend(spread)
@@ -639,22 +677,23 @@ class _Search:
         return tuple(sorted(out, key=EmbeddingClass.sort_key))
 
 
-def _check_query(form: FormType, p: int, max_twist: int, dim: int = 0, blocks=()) -> None:
+def _check_query(form: FormType, p: int, max_twist: int, dim: int = 0, blocks=()) -> int:
     """Refuse, with a one-line InvalidQueryError, what neither
     enumerate_embeddings (which passes its partition) nor count_table can
-    answer."""
+    answer; return the ambient form's index in _AMBIENT."""
     if not is_prime(p):
         raise InvalidQueryError(f"{p} is not prime")
-    if form is not FormType.NONE and p == 2:
+    if p == 2 and form is not _AMBIENT[0]:
         raise InvalidQueryError("forms need odd characteristic")
-    if form is FormType.EITHER:
+    if form not in _AMBIENT:
         raise InvalidQueryError("enumerate by a concrete form, or FormType.NONE")
     if sum(blocks) != dim:
         raise InvalidQueryError(f"partition sums to {sum(blocks)}, dim is {dim}")
-    if any(b > p for b in blocks):
+    if max(blocks, default=0) > p:
         raise InvalidQueryError("blocks above p never have order p")
     if max_twist < 1:
         raise InvalidQueryError("max_twist must be >= 1")
+    return _AMBIENT.index(form)
 
 
 def enumerate_embeddings(
@@ -682,38 +721,46 @@ def enumerate_embeddings(
     MAX_SEARCH raise InvalidQueryError before anything is built.
     """
     blocks = tuple(partition.parts) if hasattr(partition, "parts") else tuple(partition)
-    _check_query(form, p, max_twist, dim, blocks)
+    ambient = _check_query(form, p, max_twist, dim, blocks)
 
-    target = dict(Counter(blocks))
-    states = prod(m + 1 for m in target.values())
+    target = dict.fromkeys(sorted(blocks, reverse=True), 0)  # blocks per size
+    for size in blocks:
+        target[size] += 1
+    sizes, counts = list(target), tuple(target.values())
+    states = 1
+    for m in counts:
+        states *= m + 1
     # the largest Jordan block of an atom is min(p, 1 + its weight sum),
     # and a group fits only if that is a block of the partition
-    top = max(blocks, default=1)
+    top = sizes[0] if sizes else 1
     max_sum = top - 1 if top < p else dim
-    walked = len(_tuples(p, max_twist, dim, max_sum))
+    q = _table_prime(p, max_sum)
+    walked = len(_tuples(q, max_twist, dim, max_sum))
     if walked * states > MAX_SEARCH:
         raise InvalidQueryError(
             f"search too large: {walked} or more weight tuples times {states} "
             f"block states exceeds the budget {MAX_SEARCH}"
         )
-    sizes = sorted(target, reverse=True)
     where = {size: j for j, size in enumerate(sizes)}
     groups = []
-    table = _usable_groups(form, distinct_irr, p, max_twist, dim, max_sum)
-    for jordan, lone_ok, tuples, flag_counts in table:
-        most = min(target.get(size, 0) // n for size, n in jordan)  # copies that fit
+    last = [-1] * len(sizes)  # the last group using each block size
+    copies = 0
+    for jordan, lone_ok, tuples, flag_counts in _usable_groups(
+        ambient, distinct_irr, q, max_twist, dim, max_sum
+    ):
+        most = min([target.get(size, 0) // n for size, n in jordan])  # copies that fit
         if not most:
             continue
-        used = tuple((where[size], n) for size, n in jordan)
         need = [0] * len(sizes)
-        for j, n in used:
+        for size, n in jordan:
+            j = where[size]
             need[j] = n
-        weights = tuple(
-            _branch_weights(flag_counts, lone_ok, distinct_irr, k)
-            for k in range(most + 1)
-        )
-        groups.append(_Group(tuples, flag_counts, tuple(need), used, lone_ok, weights))
-    copies = sum(len(g.weights) - 1 for g in groups)
+            last[j] = len(groups)
+        weights = [
+            _branch_weights(flag_counts, lone_ok, distinct_irr, k) for k in range(1, most + 1)
+        ]
+        groups.append(_Group(tuples, flag_counts, tuple(need), lone_ok, weights))
+        copies += most
     if states * 4 * copies > MAX_SEARCH:
         raise InvalidQueryError(
             f"search too large: {states} block states times 4 flag unions "
@@ -721,7 +768,7 @@ def enumerate_embeddings(
             f"{MAX_SEARCH}"
         )
     search = _Search(
-        groups, sizes, tuple(target[size] for size in sizes), form, distinct_irr,
+        groups, last, counts, sizes[-1:] == [1], _TRIVIAL_STEP[ambient], distinct_irr,
         p, max_twist,
     )
     count = search.live(0, search.target, 0) + search.all_trivial_ok()
@@ -746,14 +793,15 @@ def count_table(
     steps or the (multiset, trivial remainder) pairs to read out pass
     MAX_SEARCH.
     """
-    _check_query(form, p, max_twist)
+    ambient = _check_query(form, p, max_twist)
+    q = _table_prime(p, max_dim)
 
     def too_large(what):
         return InvalidQueryError(
             f"table too large: more than {MAX_SEARCH} {what} of dimension <= {max_dim}"
         )
 
-    if len(_tuples(p, max_twist, max_dim, max_dim)) > MAX_SEARCH:
+    if len(_tuples(q, max_twist, max_dim, max_dim)) > MAX_SEARCH:
         raise too_large("weight tuples")
     # a multiset of blocks is coded as the sum of count * base**(size - 1):
     # no size occurs more than max_dim times
@@ -762,7 +810,7 @@ def count_table(
     tallies = {0: _LEAF}  # code -> completions by twist-flag union
     dims = {0: 0}  # code -> dimension
     steps = 0
-    table = _usable_groups(form, distinct_irr, p, max_twist, max_dim, max_dim)
+    table = _usable_groups(ambient, distinct_irr, q, max_twist, max_dim, max_dim)
     for jordan, lone_ok, _, flag_counts in table:
         shift = sum(n * base ** (size - 1) for size, n in jordan)  # one copy's code
         dim = sum(size * n for size, n in jordan)
@@ -772,24 +820,19 @@ def count_table(
         for at, tally in tallies.items():
             for k in range(1, min(most, (max_dim - dims[at]) // dim) + 1):
                 weights = _branch_weights(flag_counts, lone_ok, distinct_irr, k)
-                if not weights:
+                if not any(weights):
                     continue
                 steps += 1
                 if steps > MAX_SEARCH:
                     raise too_large("steps to block multisets")
                 to = at + k * shift
-                acc = list(grown.get(to, _NONE))
-                for union, ways in weights:
-                    for u, n in enumerate(tally):
-                        if n:
-                            acc[u | union] += ways * n
-                grown[to] = tuple(acc)
+                grown[to] = _joined(grown.get(to, _NONE), weights, tally)
                 dims[to] = dims[at] + k * dim
         tallies = grown
 
     # each live multiset and the empty one (code 0) is read out once per trivial size
     live = {at: tally for at, tally in tallies.items() if tally[1] + tally[3]}
-    step = trivial_step(form)
+    step = _TRIVIAL_STEP[ambient]
     reads = sum(len(_trivial_sizes(step, distinct_irr, max_dim - dims[at])) for at in (0, *live))
     if reads > MAX_SEARCH:
         raise too_large("partitions read out")

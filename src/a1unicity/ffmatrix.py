@@ -154,18 +154,19 @@ class PrimeField(Frozen):
 
         Integer entries of any size are reduced exactly.  Any other entry
         (a float, a complex number, a string, ...) raises ShapeError: a
-        cast to int64 would truncate, drop or parse it.  Signed and bool
-        arrays are reduced into out directly, through numpy's small
-        casting buffer, so no full-size int64 copy is made.
+        cast to int64 would truncate, drop or parse it.  Bool, signed and
+        unsigned arrays of at most 32 bits are reduced into out directly,
+        through numpy's small casting buffer, so no full-size int64 copy is
+        made.
         """
         import numpy as np
 
         a = np.asarray(a)
-        if a.dtype.kind in "bi":
+        if a.dtype.kind in "bi" or (a.dtype.kind == "u" and a.dtype.itemsize <= 4):
             if out is None:
                 return a.astype(np.int64, copy=False) % self.p
             return np.remainder(a, np.int64(self.p), out=out, casting="unsafe")
-        # any other array is checked entry by entry; unsigned and Python
+        # any other array is checked entry by entry; uint64 and Python
         # integers may exceed int64, so they are reduced as Python integers
         for x in a.flat:
             if not isinstance(x, (int, np.integer, np.bool_)):

@@ -63,7 +63,8 @@ def jordan_type_of_unipotent(m, field: PrimeField) -> JordanType:
     return JordanType(ffmatrix.jordan_block_sizes(m, field), field.p)
 
 
-@lru_cache(maxsize=None)
+# bounded: a full selfcheck keeps 377 pairs and an enumeration-sweep phase at most 47
+@lru_cache(maxsize=1024)
 def _tensor_pair_blocks(m: int, n: int, p: int) -> tuple[int, ...]:
     if m > n:
         m, n = n, m

@@ -148,6 +148,19 @@ def test_enumerate_search_budget_exits_one():
     assert proc.stderr.count("\n") == 1 and "InvalidQueryError" in proc.stderr
 
 
+def test_enumerate_search_budget_refusal_is_one_line():
+    # SL(55) (10, 9, ..., 1) at p = 13: the weight tuples times the block states
+    proc = _run_cli_process(
+        ["enumerate", "--form", "none", "--p", "13", "--partition",
+         "10,9,8,7,6,5,4,3,2,1", "--json"]
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "a1u: InvalidQueryError: search too large: 161 or more weight tuples "
+        "times 1024 block states exceeds the budget 100000\n"
+    )
+
+
 def test_enumerate_count_only_answers_beyond_the_listing_budget():
     argv = ["enumerate", "--form", "none", "--p", "7", "--partition", "7,7,7",
             "--max-twist", "1000000", "--count-only"]

@@ -11,7 +11,11 @@ from a1unicity import enumerator, selfcheck
 from a1unicity.enumerator import (
     _branch_weights,
     _flag_twists,
+    _group_key,
     _group_table,
+    _table_prime,
+    _tuples,
+    _usable_groups,
     canonicalize,
     count_table,
     dn_partition_list,
@@ -25,7 +29,7 @@ from a1unicity.errors import (
     ValidationError,
     VerdictKind,
 )
-from a1unicity.ffmatrix import PrimeField
+from a1unicity.ffmatrix import PrimeField, is_prime
 from a1unicity.jordan import jordan_type_of_unipotent, tensor_multi
 from a1unicity.sl2modules import (
     Doubled,
@@ -478,6 +482,88 @@ def test_one_jordan_type_of_both_forms():
     assert "L(1)*L(1)@1*L(4)@2" not in _class_strings(sp)
 
 
+# (blocks, primes, message): the first budget bounds the weight tuples
+# walked times the block states, the second the memo's flag tallies times
+# the copies that fit; at p = 13 and p = 7 the tables are read at the
+# smaller canonical prime (11 and 5)
+_SEARCH_REFUSALS = [
+    (tuple(range(10, 0, -1)), (11, 13),
+     "search too large: 161 or more weight tuples times 1024 block states "
+     "exceeds the budget 100000"),
+    ((3,) * 20 + (2,) * 20 + (1,) * 20, (5, 7),
+     "search too large: 9261 block states times 4 flag unions times 60 copies "
+     "of 3 groups exceeds the budget 100000"),
+]
+
+
+def test_search_budget_refusals():
+    """SL(55) (10, 9, ..., 1) and SL(120) (3^20, 2^20, 1^20) each reach one
+    search budget and are refused with its exact message."""
+    for blocks, primes, message in _SEARCH_REFUSALS:
+        for p in primes:
+            with pytest.raises(InvalidQueryError) as err:
+                enumerate_embeddings(FormType.NONE, sum(blocks), blocks, p)
+            assert str(err.value) == message, p
+
+
+def test_tables_below_block_p_do_not_depend_on_p():
+    """The premise of reading every table below block p at one canonical
+    prime, checked on the tables themselves: for T in 1..4, D <= 20 and
+    S <= D, the weight tuples and the atom groups at each of the three
+    primes after the least prime c >= S + 2 equal those at c, and each
+    of those primes reads its tables at c."""
+    primes = [q for q in range(2, 60) if is_prime(q)]
+    compared = 0
+    for max_twist, max_dim in product(range(1, 5), range(1, 21)):
+        for max_sum in range(max_dim + 1):
+            c, *above = [q for q in primes if q >= max_sum + 2][:4]
+            want = (
+                _group_table(c, max_twist, max_dim, max_sum),
+                len(_tuples(c, max_twist, max_dim, max_sum)),
+            )
+            for q in above:
+                assert _table_prime(q, max_sum) == c
+                got = (
+                    _group_table(q, max_twist, max_dim, max_sum),
+                    len(_tuples(q, max_twist, max_dim, max_sum)),
+                )
+                assert got == want, (q, max_twist, max_dim, max_sum)
+                compared += 1
+    assert compared == 3 * 4 * sum(d + 1 for d in range(1, 21))
+
+
+def test_table_caches_do_not_grow_with_the_prime():
+    """One query at each of the 74 primes 11 <= q < 400 reads the tables
+    of q = 11 only: the caches keep one weight-tuple walk, 50 group keys,
+    one group table and one usable-group table, not one per prime."""
+    caches = (_tuples, _group_key, _group_table, _usable_groups)
+    for cache in caches:
+        cache.cache_clear()
+    primes = [q for q in range(11, 400) if is_prime(q)]
+    assert len(primes) == 74
+    for q in primes:
+        enumerate_embeddings(FormType.NONE, 22, (10, 6, 3, 2, 1), q)
+    assert [cache.cache_info().currsize for cache in caches] == [1, 50, 1, 1]
+
+
+def test_module_caches_are_bounded():
+    """No lru_cache of the enumerator or of the tensor closed form grows
+    without bound across calls."""
+    from functools import _lru_cache_wrapper
+
+    from a1unicity import jordan
+
+    caches = [
+        value for module in (enumerator, jordan) for value in vars(module).values()
+        if isinstance(value, _lru_cache_wrapper)
+    ]
+    assert {cache.__name__ for cache in caches} >= {
+        "_trivial", "_atoms_per_flag", "_tensor_pair_blocks",
+        "_tuples", "_group_key", "_group_table", "_usable_groups",
+    }
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+
+
 def test_largest_benchmark_input_fits_the_search_budget():
     # dim 16 at p = 7 with twists <= 4; the CLI tests cover the refusals
     res = enumerate_embeddings(FormType.SYMPLECTIC, 16, (3, 3, 2, 2, 1, 1, 1, 1, 1, 1), 7, 4)
@@ -564,7 +650,7 @@ def test_count_and_listing_match_a_brute_force_enumeration():
 
 
 def test_branch_weights_count_multiplicity_vectors():
-    """Each (flag union, ways) entry counts the multiplicity vectors over
+    """The ways for each flag union count the multiplicity vectors over
     the group's atoms with total k and that union of used flags."""
     for flag_counts in product(range(3), repeat=4):
         if sum(flag_counts) > 4:
@@ -586,8 +672,9 @@ def test_branch_weights_count_multiplicity_vectors():
                             union |= f
                     want[union] += 1
                 got = _branch_weights(flag_counts, lone_ok, distinct_irr, k)
-                assert dict(got) == dict(want), (flag_counts, lone_ok, distinct_irr, k)
-                assert all(ways for _, ways in got)
+                assert got == tuple(want[u] for u in range(4)), (
+                    flag_counts, lone_ok, distinct_irr, k
+                )
 
 
 _FORMS = (FormType.NONE, FormType.SYMPLECTIC, FormType.ORTHOGONAL)

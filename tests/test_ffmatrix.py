@@ -309,8 +309,11 @@ def test_reduce_refuses_string_entries():
     np.array([[-1, 12], [-13, 0]], dtype=np.int32),
     np.array([[-1, 12], [-13, 0]], dtype=np.int64),
     np.array([[255, 12], [13, 0]], dtype=np.uint8),
+    np.array([[65535, 12], [13, 0]], dtype=np.uint16),
+    np.array([[2**32 - 1, 12], [13, 0]], dtype=np.uint32),
+    np.array([[2**64 - 1, 2**63 + 5], [13, 0]], dtype=np.uint64),
     np.array([[-1, 10**30], [-13, 0]], dtype=object),
-], ids=["bool", "int8", "int32", "int64", "uint8", "object"])
+], ids=["bool", "int8", "int32", "int64", "uint8", "uint16", "uint32", "uint64", "object"])
 @pytest.mark.parametrize("p", [5, 100000007])
 def test_reduce_into_out_matches_reduce(a, p):
     field = PrimeField(p)
@@ -335,6 +338,24 @@ def test_oracle_peak_is_its_working_set():
     finally:
         tracemalloc.stop()
     assert 8 * n * n < peak < 13 * n * n
+
+
+def test_small_unsigned_input_takes_the_integer_path():
+    """A uint8 J(31) x J(31) gives the int64 input's blocks within the same
+    working set: entries of at most 32 bits are reduced by numpy, not one
+    by one as Python integers (which alone takes 16 n^2 bytes of objects)."""
+    field = PrimeField(31)
+    block = unipotent_jordan_block(field, 31)
+    m = kronecker(block, block, field)
+    n = m.shape[0]
+    small = m.astype(np.uint8)
+    tracemalloc.start()
+    try:
+        assert jordan_block_sizes(small, field) == jordan_block_sizes(m, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * n * n
 
 
 # product width -> storage width of each tier, and a prime whose products
