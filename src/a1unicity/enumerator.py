@@ -45,16 +45,20 @@ with K >= 1, which uses up at least one nontrivial block.  The memo
 belongs to one query and is freed with its result.
 
 The listing is lazy: EnumerationResult.classes walks the same memo on
-first read and enters only branches whose count is nonzero.  At a group
-it splits K over the flag classes whose union is a live F and expands
-the concrete spreads of each part over that class's atoms, which it
-builds on first use.  Every spread it expands completes to at least one
-class, so the listing's work follows its classes, and a flag class whose
-atoms it builds has no more atoms than the listing has classes (or, with
-distinct_irr, than the partition has blocks).  The classes are sorted at
-the end, so the walk's order is free.  One Irr and one Doubled per atom
-are shared by every class of the listing, so each summand's order key
-and text are computed once.  Each class's descriptor is built from these
+first read and enters only branches whose count is nonzero.  A
+completion is a class iff it has the twist-0 flag, so the walk follows
+that flag alone.  It splits a group's atoms into two pools, those with
+a factor of twist 0 and the others, the twist-0 pool first, and names
+each spread of K copies once: either its least atom is from the twist-0
+pool (the rest come from both pools) or all its atoms are from the
+other pool.  A pool is built on first use, the other pool only for a
+spread of two or more picks.  Every spread it expands completes to at
+least one class, and every atom of a pool it builds is in one of those
+spreads, so the listing's work follows its classes and each atom it
+builds is in a listed class.  The classes are sorted at the end, so the
+walk's order is free.  One Irr and one Doubled per atom are shared by
+every class of the listing, so each summand's order key and text are
+computed once.  Each class's descriptor is built from these
 already validated summands and formatted once, in canonical form:
 
   * the minimum twist over all factors of all nontrivial summands is 0;
@@ -64,9 +68,10 @@ already validated summands and formatted once, in canonical form:
   * all trivial summands merge into one Trivial(r).
 
 Queries are bounded before any search by MAX_SEARCH.  The weight tuples
-walked, times the remaining-block states, must stay within it, and so
-must the memo's flag tallies for the groups that fit the partition
-times the copies each can take.  An atom's largest Jordan block is
+walked, times the remaining-block states, must stay within it (a walk
+longer than MAX_SEARCH is not kept), and so must the memo's flag
+tallies for the groups that fit the partition times the copies each can
+take, summed before any group's ways are fetched.  An atom's largest Jordan block is
 min(p, 1 + its weight sum), so when every block is below p only the
 weight tuples adding up to less than the largest block are walked.  A
 listing builds at most MAX_LISTED classes.
@@ -138,7 +143,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, compress, groupby, islice
+from itertools import (
+    combinations, combinations_with_replacement, compress, groupby, islice, takewhile,
+)
 from math import comb
 from operator import attrgetter, sub
 from typing import Callable, NamedTuple
@@ -302,9 +309,11 @@ def _weight_tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
 # bounded: a full selfcheck reads 110 tables and an enumeration-sweep phase at most 59
 @lru_cache(maxsize=256)
 def _tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
-    """The first MAX_SEARCH + 1 of _weight_tuples(p, max_twist, max_dim,
-    max_sum), so walking them stays bounded for any input."""
-    return tuple(islice(_weight_tuples(p, max_twist, max_dim, max_sum), MAX_SEARCH + 1))
+    """_weight_tuples(p, max_twist, max_dim, max_sum) when there are at
+    most MAX_SEARCH of them, else None: the walk stops at MAX_SEARCH + 1,
+    so it stays bounded for any input, and a refused walk is not kept."""
+    walk = tuple(islice(_weight_tuples(p, max_twist, max_dim, max_sum), MAX_SEARCH + 1))
+    return walk if len(walk) <= MAX_SEARCH else None
 
 
 # bounded: a full selfcheck asks for 11 and an enumeration-sweep phase at most 5
@@ -322,25 +331,15 @@ def _table_prime(p: int, max_sum: int) -> int:
     return _least_prime(max_sum + 2) if max_sum <= p - 2 else p
 
 
-def _flag_twists(k: int, max_twist: int, flags: int):
-    """(low, high, free) for the k-subsets of twists 0..max_twist that
-    hold 0 iff bit 0 of flags is set and max_twist iff bit 1 is: low and
-    high are the twists the flags fix, and the free others come from
-    1..max_twist-1, in C(max_twist - 1, free) ways (none when free < 0)."""
-    low = (0,) if flags & 1 else ()
-    high = (max_twist,) if flags & 2 else ()
-    return low, high, k - len(low) - len(high)
-
-
 # bounded: a full selfcheck or an enumeration-sweep phase keeps at most 6
 @lru_cache(maxsize=64)
 def _atoms_per_flag(max_twist: int, k: int) -> tuple[int, ...]:
-    """How many k-subsets of twists 0..max_twist have each flag value."""
-    out = []
-    for flags in range(4):
-        _, _, free = _flag_twists(k, max_twist, flags)
-        out.append(comb(max_twist - 1, free) if free >= 0 else 0)
-    return tuple(out)
+    """How many k-subsets of twists 0..max_twist have each flag value:
+    flag value f puts 0 (bit 0) and max_twist (bit 1) in or out, and the
+    other twists come from 1..max_twist-1."""
+    return tuple(
+        comb(max_twist - 1, k - fixed) if k >= fixed else 0 for fixed in (0, 1, 1, 2)
+    )
 
 
 # bounded: a full selfcheck keeps 121, an enumeration-sweep phase at most 56, and one
@@ -473,18 +472,16 @@ def _joined(value, ways, tally):
     )
 
 
-def _assignments(atoms: int, lone_ok: bool, distinct_irr: bool, k: int):
-    """The (atom index, multiplicity) lists, indices ascending, that
-    _spread counts for k copies over this many atoms; without a lone
-    copy the atoms are picked in pairs, so each multiplicity doubles."""
-    if distinct_irr:
-        picks, copies = combinations(range(atoms), k), 1
-    elif lone_ok:
-        picks, copies = combinations_with_replacement(range(atoms), k), 1
-    else:
-        picks, copies = combinations_with_replacement(range(atoms), k // 2), 2
-    for pick in picks:
-        yield [(a, copies * len(list(run))) for a, run in groupby(pick)]
+def _assignments(first: int, atoms: int, picks: int, distinct_irr: bool):
+    """The (atom index, times picked) lists, indices ascending, of picks
+    atoms out of this many, with repeats unless distinct_irr, whose least
+    index is below first."""
+    chosen = (combinations if distinct_irr else combinations_with_replacement)(
+        range(atoms), picks
+    )
+    # lexicographic order: the picks whose least index is below first lead
+    for pick in takewhile(lambda pick: pick[0] < first, chosen):
+        yield [(a, len(list(run))) for a, run in groupby(pick)]
 
 
 _NONE = (0, 0, 0, 0)
@@ -493,7 +490,6 @@ _LEAF = (1, 0, 0, 0)  # the trivial summand alone adds no twist flag
 
 class _Group(NamedTuple):
     tuples: tuple[tuple[int, ...], ...]  # weight tuples of its atoms
-    flag_counts: tuple[int, ...]  # atoms per twist-flag value
     need: tuple[int, ...]  # blocks used by one copy, counted per target block size
     lone_ok: bool  # one copy may carry the ambient form itself
     weights: list  # weights[k - 1]: _branch_weights of k copies, for every k that fits
@@ -572,11 +568,11 @@ class _Search:
             memo[j, rem] = value
         return value
 
-    def live(self, i, rem, flags) -> int:
-        """The completions of (i, rem) that have the twist-0 flag once
-        these flags are set."""
+    def live(self, i, rem, zero) -> int:
+        """The completions of (i, rem) that have the twist-0 flag, or all
+        of them when an atom with a factor of twist 0 is already chosen."""
         tally = self.tally(i, rem)
-        return sum(tally) if flags & 1 else tally[1] + tally[3]
+        return sum(tally) if zero else tally[1] + tally[3]
 
     def all_trivial_ok(self) -> bool:
         """The structure made of trivial summands only is admissible."""
@@ -584,94 +580,72 @@ class _Search:
         return self.stop(self.target) < 0 and ones > 0 and ones in self.trivials
 
     def classes(self) -> tuple[EmbeddingClass, ...]:
-        memo = self.memo
         out = []
         chosen: list = []
-        built: dict = {}  # (group, flags) -> its atoms' (Irr, Doubled), one per listing
-        split: dict = {}  # (group, copies, flag union) -> spreads
+        built: dict = {}  # (group, zero) -> its pool's (Irr, Doubled), one per listing
+        split: dict = {}  # (group, copies, zero) -> spreads
 
-        def atoms(j, flags):
-            """The atoms of group j with these twist flags, in weight tuple
-            then twist order."""
-            if (j, flags) not in built:
-                pool = built[j, flags] = []
-                top = self.max_twist
+        def atoms(j, zero):
+            """Group j's pool of atoms with a factor of twist 0 (zero) or
+            of those without one, in weight tuple then twist order."""
+            if (j, zero) not in built:
+                pool = built[j, zero] = []
                 for weights in self.groups[j].tuples:
-                    # free >= 0: two or more nontrivial blocks multiply to two
-                    # or more blocks, so a group with a one-weight tuple has only
-                    # those, and its flag class 3, the one with free < 0, is empty
-                    low, high, free = _flag_twists(len(weights), top, flags)
-                    # combinations reads its whole input first: C(T - 1, 0)
-                    # = 1 must not read 1..T-1
-                    inners = combinations(range(1, top), free) if free else [()]
+                    free = len(weights) - zero  # twists drawn from 1..max_twist
+                    # combinations reads its whole input first: a lone twist 0
+                    # must not read 1..max_twist
+                    inners = combinations(range(1, self.max_twist + 1), free) if free else [()]
                     for inner in inners:
                         atom = IrreducibleDescriptor(
-                            tuple(map(IrreducibleFactor, weights, low + inner + high))
+                            tuple(map(IrreducibleFactor, weights, (0,) * zero + inner))
                         )
                         pool.append((Irr(atom), Doubled(atom)))
-            return built[j, flags]
+            return built[j, zero]
 
-        def spreads(j, k, union):
-            """Every spread of k copies over group j's atoms whose used twist
-            flags have this union, as ((Irr, Doubled), multiplicity) lists,
-            built on first use.  It gives each flag class within the union
-            a part of k, and builds a class's atoms only for a part that
-            the later classes can complete."""
-            group = self.groups[j]
-            lone_ok, distinct_irr = group.lone_ok, self.distinct_irr
-            step = 1 if lone_ok or distinct_irr else 2  # pairs only: k is even
+        def spreads(j, k, zero):
+            """The spreads of k copies over group j's atoms, as ((Irr,
+            Doubled), multiplicity) lists, built on first use: with zero
+            those whose least atom is from the twist-0 pool (the other pool
+            follows it), else those within the other pool.  The two name
+            every spread once."""
+            if (j, k, zero) not in split:
+                copies = 1 if self.groups[j].lone_ok or self.distinct_irr else 2
+                first = atoms(j, zero)
+                # a spread of one pick reads no atom from the other pool
+                pool = first + atoms(j, False) if zero and k > copies else first
+                split[j, k, zero] = [
+                    [(pool[a], copies * n) for a, n in pick]
+                    for pick in _assignments(len(first), len(pool), k // copies,
+                                             self.distinct_irr)
+                ]
+            return split[j, k, zero]
 
-            def fill(f, left, got):
-                if f == 4:
-                    if not left and got == union:
-                        yield []
-                    return
-                yield from fill(f + 1, left, got)
-                n_atoms = group.flag_counts[f]
-                if not n_atoms or f | union != union:
-                    return
-                for part in range(step, left + 1, step):
-                    rests = _spread(part, n_atoms, lone_ok, distinct_irr) and list(
-                        fill(f + 1, left - part, got | f)
-                    )
-                    if rests:
-                        pool = atoms(j, f)
-                        for assignment in _assignments(
-                            len(pool), lone_ok, distinct_irr, part
-                        ):
-                            head = [(pool[a], m) for a, m in assignment]
-                            yield from (head + rest for rest in rests)
-
-            if (j, k, union) not in split:
-                split[j, k, union] = list(fill(0, k, 0))
-            return split[j, k, union]
-
-        def walk(i, rem, flags):
-            # some completion of (i, rem, flags) has the twist-0 flag
+        def walk(i, rem, zero):
+            # some completion of (i, rem, zero) has the twist-0 flag
             stop = self.stop(rem)
             if stop < 0:
                 out.append(_embedding_class(chosen, self.ones(rem), self.p))
                 return
-            here = self.live(i, rem, flags)
+            here = self.live(i, rem, zero)
             for j in range(i, stop):
                 # the memo holds every (j, rem) below stop; group j
                 # is used iff skipping it loses completions
-                rest = self.live(j + 1, rem, flags)
+                rest = self.live(j + 1, rem, zero)
                 if rest != here:
-                    for k, r, weights in self.branches(j, rem):
-                        for union, ways in enumerate(weights):
-                            if not ways or not self.live(j + 1, r, flags | union):
-                                continue
-                            for spread in spreads(j, k, union):
-                                chosen.extend(spread)
-                                walk(j + 1, r, flags | union)
-                                del chosen[-len(spread):]
+                    for k, r, (w0, w1, w2, w3) in self.branches(j, rem):
+                        # spreads using a twist-0 atom have flag union 1 or 3
+                        for used, ways in ((True, w1 + w3), (False, w0 + w2)):
+                            if ways and self.live(j + 1, r, zero or used):
+                                for spread in spreads(j, k, used):
+                                    chosen.extend(spread)
+                                    walk(j + 1, r, zero or used)
+                                    del chosen[-len(spread):]
                 if not rest:
                     return
                 here = rest
 
-        if self.live(0, self.target, 0):
-            walk(0, self.target, 0)
+        if self.live(0, self.target, False):
+            walk(0, self.target, False)
         if self.all_trivial_ok():
             out.append(_embedding_class((), self.ones(self.target), self.p))
         return tuple(sorted(out, key=EmbeddingClass.sort_key))
@@ -735,14 +709,15 @@ def enumerate_embeddings(
     top = sizes[0] if sizes else 1
     max_sum = top - 1 if top < p else dim
     q = _table_prime(p, max_sum)
-    walked = len(_tuples(q, max_twist, dim, max_sum))
+    walk = _tuples(q, max_twist, dim, max_sum)
+    walked = MAX_SEARCH + 1 if walk is None else len(walk)
     if walked * states > MAX_SEARCH:
         raise InvalidQueryError(
             f"search too large: {walked} or more weight tuples times {states} "
             f"block states exceeds the budget {MAX_SEARCH}"
         )
     where = {size: j for j, size in enumerate(sizes)}
-    groups = []
+    fits = []  # (tuples, need, lone_ok, flag_counts, most) of each group that fits
     last = [-1] * len(sizes)  # the last group using each block size
     copies = 0
     for jordan, lone_ok, tuples, flag_counts in _usable_groups(
@@ -755,23 +730,27 @@ def enumerate_embeddings(
         for size, n in jordan:
             j = where[size]
             need[j] = n
-            last[j] = len(groups)
-        weights = [
-            _branch_weights(flag_counts, lone_ok, distinct_irr, k) for k in range(1, most + 1)
-        ]
-        groups.append(_Group(tuples, flag_counts, tuple(need), lone_ok, weights))
+            last[j] = len(fits)
+        fits.append((tuples, tuple(need), lone_ok, flag_counts, most))
         copies += most
     if states * 4 * copies > MAX_SEARCH:
         raise InvalidQueryError(
             f"search too large: {states} block states times 4 flag unions "
-            f"times {copies} copies of {len(groups)} groups exceeds the budget "
+            f"times {copies} copies of {len(fits)} groups exceeds the budget "
             f"{MAX_SEARCH}"
         )
+    # the ways to spread each number of copies, fetched once the budget admits them
+    groups = [
+        _Group(tuples, need, lone_ok, [
+            _branch_weights(flag_counts, lone_ok, distinct_irr, k) for k in range(1, most + 1)
+        ])
+        for tuples, need, lone_ok, flag_counts, most in fits
+    ]
     search = _Search(
         groups, last, counts, sizes[-1:] == [1], _TRIVIAL_STEP[ambient], distinct_irr,
         p, max_twist,
     )
-    count = search.live(0, search.target, 0) + search.all_trivial_ok()
+    count = search.live(0, search.target, False) + search.all_trivial_ok()
     growing = search.tally(0, search.target)[3] > 0  # a completion sets both flags
     return EnumerationResult(count, max_twist, growing, search.classes)
 
@@ -801,7 +780,7 @@ def count_table(
             f"table too large: more than {MAX_SEARCH} {what} of dimension <= {max_dim}"
         )
 
-    if len(_tuples(q, max_twist, max_dim, max_dim)) > MAX_SEARCH:
+    if _tuples(q, max_twist, max_dim, max_dim) is None:
         raise too_large("weight tuples")
     # a multiset of blocks is coded as the sum of count * base**(size - 1):
     # no size occurs more than max_dim times

@@ -14,7 +14,13 @@ from collections import Counter
 from functools import lru_cache
 
 from . import ffmatrix
-from .errors import Frozen, OrderExceedsPError, PrimeMismatchError
+from .errors import (
+    EmptyMatrixError,
+    Frozen,
+    OrderExceedsPError,
+    PrimeMismatchError,
+    ShapeError,
+)
 from .ffmatrix import PrimeField
 
 
@@ -33,7 +39,7 @@ class JordanType(Frozen):
         blocks = tuple(sorted((int(b) for b in blocks), reverse=True))
         for b in blocks:
             if b < 1:
-                raise ValueError(f"nonpositive block size {b}")
+                raise ShapeError(f"nonpositive block size {b}")
             if b > p:
                 raise OrderExceedsPError(
                     f"block size {b} > p = {p} means order above p"
@@ -114,7 +120,7 @@ def tensor_multi(sizes, p: int) -> JordanType:
     """
     sizes = list(sizes)
     if not sizes:
-        raise ValueError("tensor_multi needs at least one block size")
+        raise EmptyMatrixError("tensor_multi needs at least one block size")
     acc = tensor_pair(sizes[0], 1, p)
     for s in sizes[1:]:
         acc = tensor(acc, tensor_pair(s, 1, p))

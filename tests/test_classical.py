@@ -42,6 +42,9 @@ def P(*parts):
 def test_partition_basics():
     assert P(3, 3, 1).n == 7
     assert Partition.from_string("6,1,1,1,1").parts == (6, 1, 1, 1, 1)
+    with pytest.raises(ValueError) as err:
+        Partition([])
+    assert (type(err.value), str(err.value)) == (ValueError, "empty partition")
     with pytest.raises(ValueError):
         Partition((1, 3))
     with pytest.raises(ValueError):

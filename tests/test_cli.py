@@ -482,6 +482,21 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+def test_refusals_print_one_line():
+    """Each refusal below prints its one stderr line and exits 2 (usage)
+    or 1 (domain)."""
+    for argv, code, line in (
+        (["classify", "classical", "--family", "D", "--dim", "7", "--p", "5",
+          "--partition", "3,3,1"], 2, "a1u: --family D needs even dimension (use B)\n"),
+        (["module", "-p", "5", "0*triv"], 1,
+         "a1u: WeightError: trivial multiplicity must be >= 1\n"),
+    ):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert capture(argv) == (code, ""), argv
+        assert err.getvalue() == line
+
+
 def test_exceptional_unknown_label_exits_one():
     code, payload = capture_json(
         ["classify", "exceptional", "--group", "G2", "--p", "5", "--label", "A3"]

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, product
@@ -10,7 +12,6 @@ from a1unicity.classical import FAMILY_FORM, SL, SO, Partition, Sp, unicity_verd
 from a1unicity import enumerator, selfcheck
 from a1unicity.enumerator import (
     _branch_weights,
-    _flag_twists,
     _group_key,
     _group_table,
     _table_prime,
@@ -24,6 +25,7 @@ from a1unicity.enumerator import (
     partitions_bounded,
 )
 from a1unicity.errors import (
+    DomainError,
     InvalidQueryError,
     NotCompletelyReducibleError,
     ValidationError,
@@ -296,6 +298,9 @@ def test_invalid_queries_raise():
         enumerate_embeddings(FormType.NONE, 4, (4,), 5, 0)  # bad bound
     with pytest.raises(InvalidQueryError):
         enumerate_embeddings(FormType.SYMPLECTIC, 4, (2, 2), 2, 3)  # p = 2 form
+    with pytest.raises(InvalidQueryError) as err:
+        jordan_menu(FormType.NONE, 5, 0)
+    assert (type(err.value), str(err.value)) == (InvalidQueryError, "max_dim must be >= 1")
 
 
 def _valid_queries():
@@ -413,18 +418,16 @@ def test_group_flag_counts_match_built_atoms():
 
 def test_one_weight_groups_have_no_atoms_with_both_twist_flags():
     """Two or more nontrivial blocks multiply to two or more blocks, so a
-    group with a one-weight tuple holds only those, and its flag class 3
-    (twist 0 and max_twist), the one where _flag_twists leaves free < 0,
-    has no atoms.  So the listing never asks for atoms with free < 0."""
+    group with a one-weight tuple holds only those, and has no atom in
+    flag class 3 (twist 0 and max_twist)."""
     rows = 0
     for p in (2, 3, 5, 7, 11, 13):
         for max_twist, max_dim in product((1, 2, 3, 4, 6), (8, 16, 30)):
             for _, _, tuples, flag_counts in _group_table(p, max_twist, max_dim, max_dim):
                 lengths = {len(weights) for weights in tuples}
                 assert lengths == {1} or 1 not in lengths, (p, max_twist, tuples)
-                for weights, flags in product(tuples, range(4)):
-                    if flag_counts[flags]:
-                        assert _flag_twists(len(weights), max_twist, flags)[2] >= 0
+                if lengths == {1}:
+                    assert flag_counts[3] == 0, (p, max_twist, tuples)
                 rows += 1
     assert rows == 1492
 
@@ -504,6 +507,39 @@ def test_search_budget_refusals():
             with pytest.raises(InvalidQueryError) as err:
                 enumerate_embeddings(FormType.NONE, sum(blocks), blocks, p)
             assert str(err.value) == message, p
+
+
+def test_copies_refusal_fetches_no_branch_weights():
+    """SL(15000) 5^3000 at p = 5 passes 6,850 copies to the budget check,
+    which refuses before any group's ways are fetched."""
+    _branch_weights.cache_clear()
+    with pytest.raises(InvalidQueryError) as err:
+        enumerate_embeddings(FormType.NONE, 15000, (5,) * 3000, 5, 1)
+    assert str(err.value) == (
+        "search too large: 3001 block states times 4 flag unions times 6850 copies "
+        "of 5 groups exceeds the budget 100000"
+    )
+    assert _branch_weights.cache_info().misses == 0
+
+
+def test_refused_walk_is_not_kept():
+    """A walk of more than MAX_SEARCH weight tuples (about 9 MB) is
+    refused, and only its length is kept: after SL(3000) (31, 1^2969) at
+    p = 31 less than 1 MB stays allocated."""
+    _tuples.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidQueryError) as err:
+            enumerate_embeddings(FormType.NONE, 3000, (31,) + (1,) * 2969, 31, 20)
+        gc.collect()  # also empties the interpreter's tuple free lists
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "search too large: 100001 or more weight tuples times 5940 block states "
+        "exceeds the budget 100000"
+    )
+    assert retained < 2**20
 
 
 def test_tables_below_block_p_do_not_depend_on_p():
@@ -742,6 +778,69 @@ def test_listings_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "60d459a13ba1194908c598c5071bc2e7cabd44be3451b19cc5bbe9996ac261dd"
     )
+
+
+def test_every_answer_frozen():
+    """Count, growth flag and every class string (or the refusal's type
+    and text) of each enumeration at p in {2, 3, 5, 7, 11}, under each
+    form, max_twist 1-4, with and without distinct_irr, on every
+    partition of dim 1-10 with blocks <= p, hashed in that order."""
+    digest = hashlib.sha256()
+    answers = classes = 0
+    for p in (2, 3, 5, 7, 11):
+        for form in _FORMS:
+            for max_twist in (1, 2, 3, 4):
+                for distinct_irr in (False, True):
+                    for dim in range(1, 11):
+                        for blocks in partitions_bounded(dim, p):
+                            try:
+                                res = enumerate_embeddings(
+                                    form, dim, blocks, p, max_twist, distinct_irr
+                                )
+                                texts = tuple(map(str, res.classes))
+                                out = (res.count, res.growth_flag, texts)
+                                classes += len(texts)
+                            except DomainError as err:
+                                out = (type(err).__name__, str(err))
+                            digest.update(repr(
+                                (p, form.value, max_twist, distinct_irr, dim, blocks, out)
+                            ).encode())
+                            answers += 1
+    assert (answers, classes) == (11568, 69834)
+    assert digest.hexdigest() == (
+        "f33e5799f86f4b53118e53910d6dec5899ad75ce369576cc853bceb54cb2e3d5"
+    )
+
+
+def test_listing_builds_each_atom_once_for_a_listed_class(monkeypatch):
+    """Every irreducible a listing builds is built once and is the module
+    of a summand of some listed class, so the listing's work follows its
+    classes: every partition of dim 1-9 with blocks <= p at p in {5, 7},
+    under each form, max_twist in {1, 3}, with and without distinct_irr."""
+    built = []
+
+    def counted(factors):
+        built.append(factors)
+        return IrreducibleDescriptor(factors)
+
+    monkeypatch.setattr(enumerator, "IrreducibleDescriptor", counted)
+    listings = atoms = 0
+    for p in (5, 7):
+        for dim in range(1, 10):
+            for blocks in partitions_bounded(dim, p):
+                for form, max_twist, distinct_irr in product(_FORMS, (1, 3), (False, True)):
+                    res = enumerate_embeddings(form, dim, blocks, p, max_twist, distinct_irr)
+                    built.clear()  # the count builds none; res.classes is built below
+                    used = {
+                        s.module.factors for c in res.classes for s in c.descriptor.summands
+                        if isinstance(s, (Irr, Doubled))
+                    }
+                    query = (form, blocks, p, max_twist, distinct_irr)
+                    assert len(set(built)) == len(built), query
+                    assert set(built) == used, query
+                    listings += 1
+                    atoms += len(built)
+    assert (listings, atoms) == (2100, 3750)
 
 
 def test_listed_descriptors_equal_validated_ones():

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from a1unicity import ffmatrix
-from a1unicity.errors import OrderExceedsPError, PrimeMismatchError
+from a1unicity.errors import (
+    EmptyMatrixError,
+    OrderExceedsPError,
+    PrimeMismatchError,
+    ShapeError,
+)
 from a1unicity.ffmatrix import PrimeField
 from a1unicity.jordan import (
     JordanType,
@@ -30,6 +35,22 @@ def test_jordan_type_is_canonical():
 def test_jordan_type_enforces_order_p():
     with pytest.raises(OrderExceedsPError):
         JordanType((6, 1), 5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: JordanType((2, 0), 5), ShapeError, "nonpositive block size 0"),
+        (lambda: tensor_multi([], 5), EmptyMatrixError,
+         "tensor_multi needs at least one block size"),
+    ],
+    ids=["block-0", "no-sizes"],
+)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_jnotation():

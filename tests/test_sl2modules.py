@@ -43,6 +43,25 @@ def _irr(p, *factors):
     )
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: IrreducibleFactor(1, -1), WeightError, "negative Frobenius twist -1"),
+        (lambda: IrreducibleDescriptor(()), WeightError,
+         "irreducible descriptor needs at least one factor"),
+        (lambda: ModuleDescriptor((), 5), WeightError, "descriptor needs at least one summand"),
+        (lambda: parse_descriptor("L(" + "1" * 5000 + ")", 5), DescriptorParseError,
+         "integer of 5000 digits is too long"),
+    ],
+    ids=["negative-twist", "no-factors", "no-summands", "long-integer"],
+)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_dimension_examples():
     assert dimension(_irr(5, (4, 0))) == 5
     assert dimension(ModuleDescriptor((Tilting(10),), 7)) == 14
