@@ -4,10 +4,10 @@
 For every valid partition with blocks below p on the chosen groups, run
 the completely reducible enumeration and compare against the classifier.
 Prints one row per partition and a summary; disagreements (none are
-expected) are flagged loudly.  Sp and SO run up to --max-dim; SL dimensions
-stop at 8 whatever --max-dim is.  The rows come from the generator
-that the classifier-vs-enumeration suite of `a1u selfcheck` walks, here
-at the one prime --p, and the comparison is the suite's.
+expected) are flagged loudly.  SL, Sp and SO all run up to --max-dim.
+The rows come from the generator that the classifier-vs-enumeration
+suite of `a1u selfcheck` walks, here at the one prime --p, and the
+comparison is the suite's.
 
 Usage: python scripts/rederive_classical.py [--p 5] [--max-dim 10]
 """
@@ -28,7 +28,7 @@ def main() -> int:
     args = parser.parse_args()
 
     dims = {
-        SL: range(2, min(args.max_dim, 8) + 1),
+        SL: range(2, args.max_dim + 1),
         Sp: range(4, args.max_dim + 1, 2),
         SO: range(7, args.max_dim + 1),
     }

@@ -10,56 +10,60 @@ is an independent re-derivation of the classical unicity verdicts: a
 partition meets a unique class of A1-overgroups exactly when one
 canonical structure survives and raising the twist bound adds nothing.
 
-The count is one memoized recursion over groups of atoms: the atoms of
-one Jordan type and form, which differ only in their weight tuples'
-twists.  A group is stored as its weight tuples and the number of its
-atoms with each value of two twist flags (bit 0: a factor of twist 0,
-bit 1: a factor of twist max_twist).  With T = max_twist, the k-subsets
-of twists 0..T split into C(T-1, k-2) holding both 0 and T, C(T-1, k-1)
-holding only 0, as many holding only T, and C(T-1, k) holding neither,
-so the count builds no atom.  At a group it chooses a total multiplicity
-K and the union F of the twist flags of the atoms that get a copy, and
-weights that branch by the number of ways to spread K copies over the
-group's atoms with flag union F.  Over N atoms, k copies spread in
+Let N_b be the number of structures whose twists all lie in 0..b, and
+T = max_twist.  A multiset with twists in 1..T is the shift of one with
+twists in 0..T-1, so the classes number N_T - N_{T-1}, and no shifts
+need deduplicating.  The count at T exceeds the count at T - 1 (the
+growth flag) iff N_T - N_{T-1} > N_{T-1} - N_{T-2}.  So the count is one
+memoized recursion that counts at the three twist bounds T, T - 1 and
+T - 2 side by side, over groups of atoms: the atoms of one Jordan type
+and form, which differ only in their weight tuples' twists.  A group is
+stored as its weight tuples and its atoms at each bound b: a tuple of k
+weights is an atom for each of the C(b + 1, k) k-subsets of twists
+0..b, so the count builds no atom.  At a group it chooses a total
+multiplicity K, and weights that branch at each bound by the number of
+ways to spread K copies over the group's atoms at that bound.  Over N
+atoms, k copies spread in
 
   * C(k + N - 1, N - 1) ways when a lone copy carries the ambient form
     (sl2modules.lone_copy_admits, asked once per query);
   * C(k/2 + N - 1, N - 1) ways for even k, and none for odd k, when it
     does not: the copies pair up hyperbolically;
   * C(N, k) ways with distinct_irr, where a group whose lone copy
-    cannot carry the form is unusable (_usable_groups);
+    cannot carry the form is unusable (_usable_groups).
 
-and inclusion-exclusion over the flag classes a spread may use gives the
-ways for each union F exactly.  At the leaf the leftover 1-blocks are
-the trivial summand, of a size _trivial_sizes admits.
+At the leaf the leftover 1-blocks are the trivial summand, of a size
+_trivial_sizes admits.  At T = 1 the bound T - 2 admits no twist, so
+N_{-1} counts the all-trivial structure alone.
 
 The state is the group index and the remaining block counts, and its
-memo entry tallies the completions by the union of their twist flags.
-A multiset whose least twist is s > 0 is the shift of one whose least
-twist is 0, so the classes are exactly the completions with the twist-0
-flag, and no shifts need deduplicating; the all-trivial structure adds
-one more when it is admissible.  The family grows with the twist bound
-iff some completion sets both flags.  Skipping a group (K = 0) is
-followed forward in a loop, so the recursion nests once per group chosen
-with K >= 1, which uses up at least one nontrivial block.  The memo
-belongs to one query and is freed with its result.
+memo entry tallies the completions at the three bounds.  The classes
+are the completions that use a factor of twist 0; the all-trivial
+structure lies in every N_b, so it adds one more when it is admissible.
+Skipping a group (K = 0) is followed forward in a loop, so the recursion
+nests once per group chosen with K >= 1, which uses up at least one
+nontrivial block.  The memo belongs to one query and is freed with its
+result.
 
 The listing is lazy: EnumerationResult.classes walks the same memo on
 first read and enters only branches whose count is nonzero.  A
-completion is a class iff it has the twist-0 flag, so the walk follows
-that flag alone.  It splits a group's atoms into two pools, those with
-a factor of twist 0 and the others, the twist-0 pool first, and names
-each spread of K copies once: either its least atom is from the twist-0
-pool (the rest come from both pools) or all its atoms are from the
-other pool.  A pool is built on first use, the other pool only for a
-spread of two or more picks.  Every spread it expands completes to at
-least one class, and every atom of a pool it builds is in one of those
-spreads, so the listing's work follows its classes and each atom it
-builds is in a listed class.  The classes are sorted at the end, so the
-walk's order is free.  One Irr and one Doubled per atom are shared by
-every class of the listing, so each summand's order key and text are
-computed once.  Each class's descriptor is built from these
-already validated summands and formatted once, in canonical form:
+completion is a class iff it uses a factor of twist 0, so the walk
+follows that alone.  It splits a group's atoms into two pools, those
+with a factor of twist 0 and the others, the twist-0 pool first, and
+names each spread of K copies once: either its least atom is from the
+twist-0 pool (the rest come from both pools) or all its atoms are from
+the other pool.  The spreads within the other pool are the shifts of
+the spreads one twist bound lower, so they number the ways at T - 1,
+and the first family the ways at T less those.  A pool is built on
+first use, the other pool only for a spread of two or more picks.
+Every spread it expands completes to at least one class, and every atom
+of a pool it builds is in one of those spreads, so the listing's work
+follows its classes and each atom it builds is in a listed class.  The
+classes are sorted at the end, so the walk's order is free.  One Irr
+and one Doubled per atom are shared by every class of the listing, so
+each summand's order key and text are computed once.  Each class's
+descriptor is built from these already validated summands and formatted
+once, in canonical form:
 
   * the minimum twist over all factors of all nontrivial summands is 0;
   * m isomorphic copies of an irreducible M are stored as floor(m/2)
@@ -69,21 +73,21 @@ already validated summands and formatted once, in canonical form:
 
 Queries are bounded before any search by MAX_SEARCH.  The weight tuples
 walked, times the remaining-block states, must stay within it (a walk
-longer than MAX_SEARCH is not kept), and so must the memo's flag
-tallies for the groups that fit the partition times the copies each can
-take, summed before any group's ways are fetched.  An atom's largest Jordan block is
-min(p, 1 + its weight sum), so when every block is below p only the
-weight tuples adding up to less than the largest block are walked.  A
-listing builds at most MAX_LISTED classes.
+longer than MAX_SEARCH is not kept), and so must the memo's tallies at
+three twist bounds for the groups that fit the partition times the
+copies each can take, summed before any group's ways are fetched.  An
+atom's largest Jordan block is min(p, 1 + its weight sum), so when every
+block is below p only the weight tuples adding up to less than the
+largest block are walked.  A listing builds at most MAX_LISTED classes.
 
 count_table answers every partition up to a dimension bound D at once:
 a partition's count is a coefficient of a product with one factor per
 group.  It keeps a table from block multisets (the atoms' own 1-blocks
-included) to tallies by flag union, starting from the empty multiset,
-and multiplies in the rows of _group_table(p, max_twist, D, D) one at a
-time: K copies of a group move a multiset's tally to the multiset plus
-K times the group's blocks, weighted by _branch_weights as in the
-search.  It then reads each multiset out with every admissible trivial
+included) to tallies at the three twist bounds, starting from the
+empty multiset, and multiplies in the rows of _group_table(p, max_twist,
+D, D) one at a time: K copies of a group move a multiset's tally to the
+multiset plus K times the group's blocks, weighted by _branch_weights as
+in the search.  It then reads each multiset out with every admissible trivial
 remainder that fits in D, and adds the all-trivial structure; a
 partition's count and growth flag come from its summed tally exactly
 as in the search.  Each (multiset, K) pair of the product is a step,
@@ -92,7 +96,7 @@ MAX_SEARCH steps also bounds the table, and bounds the work where few
 multisets take many copies each (p = 2).  The weight tuples, and the
 (multiset, trivial remainder) pairs to read out, are bounded by
 MAX_SEARCH too, each before its pass starts.  The table shares
-the atom groups (_group_table) and the ways per flag union
+the atom groups (_group_table) and the ways per twist bound
 (_branch_weights) with the search; what it derives again is the
 composition: the search's memoized recursion over remaining blocks,
 its stuck-state pruning and its chaining of skipped groups.
@@ -104,9 +108,9 @@ below p, the search walks only the atoms whose weights add up to less
 than the largest block b.  Every tensor product such an atom forms,
 J(m) x J(n) with m + n - 1 <= 1 + (its weight sum) <= b < p, stays in
 the Clebsch-Gordan branch of jordan._tensor_pair_blocks.  The weights,
-the forms (the parity of the weight sum) and the twist flags do not
-see p either.  So the count, the growth flag and the listing are the
-same at every prime above the largest block.  The tables rely on it:
+the forms (the parity of the weight sum) and the atoms per twist bound
+do not see p either.  So the count, the growth flag and the listing are
+the same at every prime above the largest block.  The tables rely on it:
 when every weight sum is at most p - 2, _tuples and _usable_groups (and
 count_table's, when max_dim <= p - 2) are read at one canonical prime,
 the least prime >= max_sum + 2 (_table_prime), so one table serves
@@ -171,15 +175,15 @@ from .sl2modules import (
 # Two products must stay within it:
 #   * (weight tuples walked) x (block states), where the group table
 #     computes one Jordan type per weight tuple;
-#   * (block states) x (4 flag unions) x (copies that fit, summed over
+#   * (block states) x (3 twist bounds) x (copies that fit, summed over
 #     the groups that fit the partition): the memo's (group, state)
-#     entries, each a tally over 4 flag unions, times the branches each
+#     entries, each a tally at 3 twist bounds, times the branches each
 #     can take.
 # Every fitting group takes at least one copy, so (fitting groups) x
-# (block states) <= MAX_SEARCH / 4 = 25,000.  The recursion nests once
+# (block states) <= MAX_SEARCH / 3 = 33,333.  The recursion nests once
 # per chosen group, and each uses up a nontrivial block, of which there
 # are fewer than the block states; so it is never deeper than
-# min(groups, blocks) <= sqrt(25,000) < 159.
+# min(groups, blocks) <= sqrt(33,333) < 183.
 MAX_SEARCH = 100_000
 
 # Bound on the classes one listing builds (about 1 kB each).
@@ -331,17 +335,6 @@ def _table_prime(p: int, max_sum: int) -> int:
     return _least_prime(max_sum + 2) if max_sum <= p - 2 else p
 
 
-# bounded: a full selfcheck or an enumeration-sweep phase keeps at most 6
-@lru_cache(maxsize=64)
-def _atoms_per_flag(max_twist: int, k: int) -> tuple[int, ...]:
-    """How many k-subsets of twists 0..max_twist have each flag value:
-    flag value f puts 0 (bit 0) and max_twist (bit 1) in or out, and the
-    other twists come from 1..max_twist-1."""
-    return tuple(
-        comb(max_twist - 1, k - fixed) if k >= fixed else 0 for fixed in (0, 1, 1, 2)
-    )
-
-
 # bounded: a full selfcheck keeps 121, an enumeration-sweep phase at most 56, and one
 # D = 50 table (dn_partition_list(25, 13)) 217
 @lru_cache(maxsize=1024)
@@ -360,13 +353,15 @@ def _group_table(p: int, max_twist: int, max_dim: int, max_sum: int):
     """The twisted tensor-product irreducibles of _tuples(p, max_twist,
     max_dim, max_sum), with twists drawn from 0..max_twist, grouped by
     _group_key: rows ((block size, count) pairs, form type, weight tuples,
-    atoms per twist-flag value)."""
+    atoms at each twist bound), where the atoms at bound b, for b = 0, 1,
+    2, are those with all twists in 0..max_twist - b: C(max_twist + 1 - b,
+    k) per tuple of k weights."""
     groups: dict = {}
     for weights in _tuples(p, max_twist, max_dim, max_sum):
-        tuples, atoms = groups.setdefault(_group_key(p, weights), ([], [0] * 4))
+        tuples, atoms = groups.setdefault(_group_key(p, weights), ([], [0] * 3))
         tuples.append(weights)
-        for flags, n in enumerate(_atoms_per_flag(max_twist, len(weights))):
-            atoms[flags] += n
+        for b in range(3):
+            atoms[b] += comb(max_twist + 1 - b, len(weights))
     return tuple(
         (blocks, form, tuple(tuples), tuple(atoms))
         for (blocks, form), (tuples, atoms) in groups.items()
@@ -437,39 +432,19 @@ def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
 # bounded: count_table asks for every copies count k up to max_dim, while a
 # search or a whole selfcheck reuses fewer than 50 entries
 @lru_cache(maxsize=256)
-def _branch_weights(flag_counts, lone_ok: bool, distinct_irr: bool, k: int):
-    """The ways to spread k copies over a group whose atoms fall into flag
-    classes of these sizes, by the union of twist flags they use (index
-    0..3); a class adds its flags to the union iff it gets a copy.
-
-    The spreads over the classes whose flags lie within a union V number
-    _spread(k, their atoms); the union is exactly U by inclusion-exclusion
-    over the V within U."""
-    within = [
-        _spread(k, sum(n for f, n in enumerate(flag_counts) if f | v == v),
-                lone_ok, distinct_irr)
-        for v in range(4)
-    ]
-    return tuple(
-        sum((-1) ** bin(union ^ v).count("1") * within[v]
-            for v in range(4) if v | union == union)
-        for union in range(4)
-    )
+def _branch_weights(atoms, lone_ok: bool, distinct_irr: bool, k: int):
+    """The ways to spread k copies over a group with these atoms at each
+    twist bound."""
+    return tuple(_spread(k, n, lone_ok, distinct_irr) for n in atoms)
 
 
 def _joined(value, ways, tally):
-    """value plus the completions that tally counts by flag union, each
-    joined with the spreads that ways counts by flag union: a spread of
-    union U turns a completion of union u into one of union u | U."""
-    a0, a1, a2, a3 = value
-    w0, w1, w2, w3 = ways
-    t0, t1, t2, t3 = tally
-    return (
-        a0 + w0 * t0,
-        a1 + w0 * t1 + w1 * (t0 + t1),
-        a2 + w0 * t2 + w2 * (t0 + t2),
-        a3 + w0 * t3 + w1 * (t2 + t3) + w2 * (t1 + t3) + w3 * (t0 + t1 + t2 + t3),
-    )
+    """value plus the completions that tally counts at each twist bound,
+    each joined with the spreads that ways counts at that bound."""
+    a0, a1, a2 = value
+    w0, w1, w2 = ways
+    t0, t1, t2 = tally
+    return a0 + w0 * t0, a1 + w1 * t1, a2 + w2 * t2
 
 
 def _assignments(first: int, atoms: int, picks: int, distinct_irr: bool):
@@ -484,8 +459,8 @@ def _assignments(first: int, atoms: int, picks: int, distinct_irr: bool):
         yield [(a, len(list(run))) for a, run in groupby(pick)]
 
 
-_NONE = (0, 0, 0, 0)
-_LEAF = (1, 0, 0, 0)  # the trivial summand alone adds no twist flag
+_NONE = (0, 0, 0)
+_LEAF = (1, 1, 1)  # the trivial summand alone lies within every twist bound
 
 
 class _Group(NamedTuple):
@@ -498,10 +473,10 @@ class _Group(NamedTuple):
 class _Search:
     """The counting recursion of one query and its memo.
 
-    tally(i, rem)[u] counts the completions over multiplicities of groups
+    tally(i, rem)[b] counts the completions over multiplicities of groups
     i, i+1, ... that use up the nontrivial blocks in rem and whose chosen
-    factors have twist-flag union u.  The block sizes are descending, so
-    a 1-block, if any, is counted last.
+    factors all have twists in 0..max_twist - b.  The block sizes are
+    descending, so a 1-block, if any, is counted last.
     """
 
     def __init__(self, groups, last, target, has_ones, step, distinct_irr, p, max_twist):
@@ -538,7 +513,7 @@ class _Search:
             if any(weights):
                 yield k, r, weights
 
-    def tally(self, i, rem) -> tuple[int, int, int, int]:
+    def tally(self, i, rem) -> tuple[int, int, int]:
         memo = self.memo
         value = memo.get((i, rem))
         if value is not None:
@@ -569,10 +544,12 @@ class _Search:
         return value
 
     def live(self, i, rem, zero) -> int:
-        """The completions of (i, rem) that have the twist-0 flag, or all
-        of them when an atom with a factor of twist 0 is already chosen."""
-        tally = self.tally(i, rem)
-        return sum(tally) if zero else tally[1] + tally[3]
+        """The completions of (i, rem) that use a factor of twist 0, or all
+        of them when an atom with a factor of twist 0 is already chosen:
+        those that avoid twist 0 are the shifts of the completions one
+        twist bound lower."""
+        top, below, _ = self.tally(i, rem)
+        return top if zero else top - below
 
     def all_trivial_ok(self) -> bool:
         """The structure made of trivial summands only is admissible."""
@@ -621,7 +598,7 @@ class _Search:
             return split[j, k, zero]
 
         def walk(i, rem, zero):
-            # some completion of (i, rem, zero) has the twist-0 flag
+            # some completion of (i, rem, zero) uses a factor of twist 0
             stop = self.stop(rem)
             if stop < 0:
                 out.append(_embedding_class(chosen, self.ones(rem), self.p))
@@ -632,9 +609,10 @@ class _Search:
                 # is used iff skipping it loses completions
                 rest = self.live(j + 1, rem, zero)
                 if rest != here:
-                    for k, r, (w0, w1, w2, w3) in self.branches(j, rem):
-                        # spreads using a twist-0 atom have flag union 1 or 3
-                        for used, ways in ((True, w1 + w3), (False, w0 + w2)):
+                    for k, r, (top, below, _) in self.branches(j, rem):
+                        # the spreads that avoid twist 0 are shifts of those
+                        # one twist bound lower
+                        for used, ways in ((True, top - below), (False, below)):
                             if ways and self.live(j + 1, r, zero or used):
                                 for spread in spreads(j, k, used):
                                     chosen.extend(spread)
@@ -717,10 +695,10 @@ def enumerate_embeddings(
             f"block states exceeds the budget {MAX_SEARCH}"
         )
     where = {size: j for j, size in enumerate(sizes)}
-    fits = []  # (tuples, need, lone_ok, flag_counts, most) of each group that fits
+    fits = []  # (tuples, need, lone_ok, atoms, most) of each group that fits
     last = [-1] * len(sizes)  # the last group using each block size
     copies = 0
-    for jordan, lone_ok, tuples, flag_counts in _usable_groups(
+    for jordan, lone_ok, tuples, atoms in _usable_groups(
         ambient, distinct_irr, q, max_twist, dim, max_sum
     ):
         most = min([target.get(size, 0) // n for size, n in jordan])  # copies that fit
@@ -731,27 +709,28 @@ def enumerate_embeddings(
             j = where[size]
             need[j] = n
             last[j] = len(fits)
-        fits.append((tuples, tuple(need), lone_ok, flag_counts, most))
+        fits.append((tuples, tuple(need), lone_ok, atoms, most))
         copies += most
-    if states * 4 * copies > MAX_SEARCH:
+    if states * 3 * copies > MAX_SEARCH:
         raise InvalidQueryError(
-            f"search too large: {states} block states times 4 flag unions "
+            f"search too large: {states} block states times 3 twist bounds "
             f"times {copies} copies of {len(fits)} groups exceeds the budget "
             f"{MAX_SEARCH}"
         )
     # the ways to spread each number of copies, fetched once the budget admits them
     groups = [
         _Group(tuples, need, lone_ok, [
-            _branch_weights(flag_counts, lone_ok, distinct_irr, k) for k in range(1, most + 1)
+            _branch_weights(atoms, lone_ok, distinct_irr, k) for k in range(1, most + 1)
         ])
-        for tuples, need, lone_ok, flag_counts, most in fits
+        for tuples, need, lone_ok, atoms, most in fits
     ]
     search = _Search(
         groups, last, counts, sizes[-1:] == [1], _TRIVIAL_STEP[ambient], distinct_irr,
         p, max_twist,
     )
-    count = search.live(0, search.target, False) + search.all_trivial_ok()
-    growing = search.tally(0, search.target)[3] > 0  # a completion sets both flags
+    top, below, lower = search.tally(0, search.target)
+    count = top - below + search.all_trivial_ok()
+    growing = top - below > below - lower  # more classes at max_twist than one lower
     return EnumerationResult(count, max_twist, growing, search.classes)
 
 
@@ -786,19 +765,19 @@ def count_table(
     # no size occurs more than max_dim times
     base = max_dim + 1
     places = [(size, base ** (size - 1)) for size in range(min(p, max_dim), 0, -1)]
-    tallies = {0: _LEAF}  # code -> completions by twist-flag union
+    tallies = {0: _LEAF}  # code -> completions at each twist bound
     dims = {0: 0}  # code -> dimension
     steps = 0
     table = _usable_groups(ambient, distinct_irr, q, max_twist, max_dim, max_dim)
-    for jordan, lone_ok, _, flag_counts in table:
+    for jordan, lone_ok, _, atoms in table:
         shift = sum(n * base ** (size - 1) for size, n in jordan)  # one copy's code
         dim = sum(size * n for size, n in jordan)
         # with distinct_irr no more copies than atoms
-        most = sum(flag_counts) if distinct_irr else max_dim
+        most = atoms[0] if distinct_irr else max_dim
         grown = dict(tallies)  # k = 0
         for at, tally in tallies.items():
             for k in range(1, min(most, (max_dim - dims[at]) // dim) + 1):
-                weights = _branch_weights(flag_counts, lone_ok, distinct_irr, k)
+                weights = _branch_weights(atoms, lone_ok, distinct_irr, k)
                 if not any(weights):
                     continue
                 steps += 1
@@ -810,7 +789,7 @@ def count_table(
         tallies = grown
 
     # each live multiset and the empty one (code 0) is read out once per trivial size
-    live = {at: tally for at, tally in tallies.items() if tally[1] + tally[3]}
+    live = {at: tally for at, tally in tallies.items() if tally[0] - tally[1]}
     step = _TRIVIAL_STEP[ambient]
     reads = sum(len(_trivial_sizes(step, distinct_irr, max_dim - dims[at])) for at in (0, *live))
     if reads > MAX_SEARCH:
@@ -821,11 +800,11 @@ def count_table(
         old, grew = out.get(blocks, (0, False))
         out[blocks] = (old + count, grew or growing)
 
-    for at, tally in live.items():
+    for at, (top, below, lower) in live.items():
         blocks = tuple(size for size, place in places for _ in range(at // place % base))
         for ones in _trivial_sizes(step, distinct_irr, max_dim - dims[at]):
-            # the classes are the completions with the twist-0 flag
-            add(blocks + (1,) * ones, tally[1] + tally[3], tally[3] > 0)
+            # the classes are the completions that use a factor of twist 0
+            add(blocks + (1,) * ones, top - below, top - below > below - lower)
     # the structure made of trivial summands only is one more class
     for ones in _trivial_sizes(step, distinct_irr, max_dim)[1:]:
         add((1,) * ones, 1, False)

@@ -217,8 +217,10 @@ class Doubled(_IrrCopies):
 
 
 class _HighWeight(Frozen):
-    """Weyl(c) or Tilting(c), highest weight c in [p, 2p-2].  Only witness
-    checks ask their form, which need not split off non-degenerately."""
+    """Weyl(c) or Tilting(c), highest weight c in [p, 2p-2].  Tilting(c)
+    is self-dual and takes the parity form of c.  Weyl(c) has head L(c)
+    and socle L(2p-2-c) (Jantzen, Part II), so it is not self-dual and
+    carries no non-degenerate invariant form."""
 
     weight: int
 
@@ -255,6 +257,9 @@ class Weyl(_HighWeight):
 
     def blocks(self, p: int) -> tuple[int, ...]:
         return (p, self.weight - p + 1)
+
+    def admits(self, form: FormType) -> bool:
+        return form is FormType.NONE
 
     def matrices(self, field) -> list:
         return [ffmatrix.sym_power(self.weight, field)]

@@ -1,5 +1,6 @@
 import pytest
 
+from a1unicity import atlas
 from a1unicity.atlas import group, known_labels, list_unique, verdict
 from a1unicity.errors import BadPrimeError, UnknownLabelError, VerdictKind
 
@@ -73,3 +74,38 @@ def test_nesting_across_good_primes():
         for small, large in zip(goods, goods[1:]):
             assert list_unique(g, small) <= list_unique(g, large)
 
+
+
+_READ_DATA = atlas._read_data
+
+
+@pytest.mark.parametrize("old, new, at_load, error", [
+    ("G2|good|A1|unique", "G2|<5|A1|unique", False, "bad p_condition '<5'"),
+    ("G2|good|A1|unique", "G2|good|A9|unique", True,
+     "rule row uses unknown label 'A9' for G2"),
+    ("G2|good|A1|unique", "G2|good|A1|maybe", True, "bad verdict 'maybe'"),
+    ("G2|good|A1|unique", "G2|good|A1|unique\nG2|=7|A1|nonunique", True,
+     "contradictory rows for G2 A1 at p = 7"),
+], ids=["p_condition", "label", "verdict", "contradiction"])
+def test_corrupted_rules_file_is_refused(monkeypatch, old, new, at_load, error):
+    """Each data-file error, on a copy of the rules with one row changed,
+    raises ValueError with its message: when the tables load, or, for a
+    unique row's bad p_condition, when a verdict reads the row."""
+
+    def corrupted(name):
+        text = _READ_DATA(name)
+        if name == "atlas_rules.txt":
+            assert text.count(old + "\n") == 1
+            text = text.replace(old + "\n", new + "\n")
+        return text
+
+    monkeypatch.setattr(atlas, "_read_data", corrupted)
+    atlas._tables.cache_clear()
+    try:
+        with pytest.raises(ValueError) as err:
+            atlas._tables()
+            assert not at_load
+            verdict(group("G2"), 5, "A1")
+        assert type(err.value) is ValueError and str(err.value) == error
+    finally:
+        atlas._tables.cache_clear()

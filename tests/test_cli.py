@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -85,6 +87,15 @@ def test_module_command():
     assert payload["result"]["dimension"] == 14
     assert payload["result"]["blocks"] == [7, 7]
     assert payload["result"]["realizable"] is False
+
+
+@pytest.mark.parametrize("p, descriptor, form", [
+    (5, "W(5)", "none"), (5, "W(6)", "none"), (7, "W(8)", "none"), (5, "T(5)", "symplectic"),
+])
+def test_module_command_form_of_weyl_and_tilting(p, descriptor, form):
+    """W(c) is not self-dual, so it carries no form; T(c) keeps its
+    parity form."""
+    assert capture_json(["module", "-p", str(p), descriptor])[1]["result"]["form"] == form
 
 
 def test_module_command_too_large_to_realize(capsys):
@@ -193,6 +204,30 @@ def test_enumerate_listing_budget_exits_one():
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "140955 classes" in proc.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize("argv", [
+    # 38,149 classes, about 1.45 MB of JSON
+    ["enumerate", "--form", "none", "--p", "3", "--partition", "3,3,3,3,3,3",
+     "--max-twist", "6", "--json"],
+    ["module", "-p", "5", "1000000*triv", "--json"],  # about 2.0 MB of JSON
+    ["selfcheck", "--quick"],
+], ids=["enumerate", "module", "selfcheck-quick"])
+def test_largest_admitted_inputs_run_in_256_mib(argv):
+    """The largest admitted inputs finish in a child whose address space
+    is capped at 256 MiB.  BLAS runs one thread, so the cap measures the
+    program and not the host's core count (each BLAS thread reserves its
+    own buffers)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "from a1unicity.cli import main; main()", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_adversarial_enumerations_are_answered_or_refused_quickly():

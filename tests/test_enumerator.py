@@ -391,16 +391,17 @@ def test_listing_shares_one_summand_object_per_atom():
     assert all(len(ids) == 1 for ids in objects.values())
 
 
-def test_group_flag_counts_match_built_atoms():
-    """Each group's closed-form atoms per twist-flag value equal the
-    counts over its atoms built one by one, and each weight tuple has the
-    group's Jordan type and form."""
+def test_group_atom_counts_match_built_atoms():
+    """Each group's closed-form atoms at twist bound max_twist - b, for
+    b = 0, 1, 2, equal the counts over its atoms built one by one whose
+    twists lie in 0..max_twist - b, and each weight tuple has the group's
+    Jordan type and form."""
     groups = 0
     for p in (2, 3, 5, 7, 11, 13):
         for max_twist, max_dim in product(range(1, 7), range(1, 27)):
             table = _group_table(p, max_twist, max_dim, max_dim)
-            for blocks, form, tuples, flag_counts in table:
-                built = [0] * 4
+            for blocks, form, tuples, atoms in table:
+                built = [0] * 3
                 for weights in tuples:
                     jordan = tensor_multi([w + 1 for w in weights], p).blocks
                     assert tuple(Counter(jordan).items()) == blocks
@@ -409,31 +410,15 @@ def test_group_flag_counts_match_built_atoms():
                             tuple(map(IrreducibleFactor, weights, twists))
                         )
                         assert atom.form_type() is form
-                        low, high = atom.min_twist == 0, atom.max_twist == max_twist
-                        built[low | high << 1] += 1
-                assert tuple(built) == flag_counts, (p, max_twist, tuples)
+                        for b in range(3):
+                            built[b] += atom.max_twist <= max_twist - b
+                assert tuple(built) == atoms, (p, max_twist, tuples)
                 groups += 1
     assert groups == 11673
 
 
-def test_one_weight_groups_have_no_atoms_with_both_twist_flags():
-    """Two or more nontrivial blocks multiply to two or more blocks, so a
-    group with a one-weight tuple holds only those, and has no atom in
-    flag class 3 (twist 0 and max_twist)."""
-    rows = 0
-    for p in (2, 3, 5, 7, 11, 13):
-        for max_twist, max_dim in product((1, 2, 3, 4, 6), (8, 16, 30)):
-            for _, _, tuples, flag_counts in _group_table(p, max_twist, max_dim, max_dim):
-                lengths = {len(weights) for weights in tuples}
-                assert lengths == {1} or 1 not in lengths, (p, max_twist, tuples)
-                if lengths == {1}:
-                    assert flag_counts[3] == 0, (p, max_twist, tuples)
-                rows += 1
-    assert rows == 1492
-
-
 def test_listing_builds_only_the_atoms_its_classes_use(monkeypatch):
-    """At max_twist 10**6 a flag class of L(1) holds 999,999 atoms; each
+    """At max_twist 10**6 the group of L(1) holds 1,000,001 atoms; each
     listing below builds the one atom its class uses."""
     built = []
 
@@ -470,6 +455,19 @@ def test_sp26_and_sp28_at_p13_are_answered_and_agree():
     assert selfcheck.agrees(unicity_verdict(Sp(36), Partition(blocks), 13), res)
 
 
+def test_classifier_agrees_with_the_search_up_to_p23():
+    """The classifier agrees with the enumeration on every valid
+    partition with blocks below p at p in {5, 7, 11, 13, 17, 19, 23}, for
+    SL 2-18, Sp 4-24 and SO 7-22: wider than the selfcheck's ranges."""
+    queries = 0
+    for g, part, p, verdict, res in selfcheck.classifier_vs_enumeration(
+        (5, 7, 11, 13, 17, 19, 23), {SL: range(2, 19), Sp: range(4, 25, 2), SO: range(7, 23)}
+    ):
+        assert selfcheck.agrees(verdict, res), (g, part, p)
+        queries += 1
+    assert queries == 24141
+
+
 def test_one_jordan_type_of_both_forms():
     """At p = 5, L(3)*L(4) (symplectic) and L(1)*L(1)*L(4) (orthogonal)
     both have Jordan type (5, 5, 5, 5); each lone summand is admitted
@@ -486,15 +484,15 @@ def test_one_jordan_type_of_both_forms():
 
 
 # (blocks, primes, message): the first budget bounds the weight tuples
-# walked times the block states, the second the memo's flag tallies times
-# the copies that fit; at p = 13 and p = 7 the tables are read at the
+# walked times the block states, the second the memo's tallies at 3 twist
+# bounds times the copies that fit; at p = 13 and p = 7 the tables are read at the
 # smaller canonical prime (11 and 5)
 _SEARCH_REFUSALS = [
     (tuple(range(10, 0, -1)), (11, 13),
      "search too large: 161 or more weight tuples times 1024 block states "
      "exceeds the budget 100000"),
     ((3,) * 20 + (2,) * 20 + (1,) * 20, (5, 7),
-     "search too large: 9261 block states times 4 flag unions times 60 copies "
+     "search too large: 9261 block states times 3 twist bounds times 60 copies "
      "of 3 groups exceeds the budget 100000"),
 ]
 
@@ -516,7 +514,7 @@ def test_copies_refusal_fetches_no_branch_weights():
     with pytest.raises(InvalidQueryError) as err:
         enumerate_embeddings(FormType.NONE, 15000, (5,) * 3000, 5, 1)
     assert str(err.value) == (
-        "search too large: 3001 block states times 4 flag unions times 6850 copies "
+        "search too large: 3001 block states times 3 twist bounds times 6850 copies "
         "of 5 groups exceeds the budget 100000"
     )
     assert _branch_weights.cache_info().misses == 0
@@ -594,7 +592,7 @@ def test_module_caches_are_bounded():
         if isinstance(value, _lru_cache_wrapper)
     ]
     assert {cache.__name__ for cache in caches} >= {
-        "_trivial", "_atoms_per_flag", "_tensor_pair_blocks",
+        "_trivial", "_tensor_pair_blocks",
         "_tuples", "_group_key", "_group_table", "_usable_groups",
     }
     assert all(cache.cache_info().maxsize is not None for cache in caches)
@@ -686,30 +684,23 @@ def test_count_and_listing_match_a_brute_force_enumeration():
 
 
 def test_branch_weights_count_multiplicity_vectors():
-    """The ways for each flag union count the multiplicity vectors over
-    the group's atoms with total k and that union of used flags."""
-    for flag_counts in product(range(3), repeat=4):
-        if sum(flag_counts) > 4:
-            continue
-        atom_flags = [f for f, c in enumerate(flag_counts) for _ in range(c)]
+    """The ways at each twist bound count the multiplicity vectors with
+    total k over the group's atoms at that bound."""
+
+    def vectors(atoms, k, lone_ok, distinct_irr):
+        return sum(
+            1 for vector in product(range(k + 1), repeat=atoms)
+            if sum(vector) == k
+            and not (distinct_irr and max(vector, default=0) > 1)
+            and (lone_ok or not any(m % 2 for m in vector))
+        )
+
+    for atoms in product(range(5), repeat=3):
         for lone_ok, distinct_irr in ((True, False), (False, False), (True, True)):
             for k in range(5):
-                want = Counter()
-                for vector in product(range(k + 1), repeat=len(atom_flags)):
-                    if sum(vector) != k:
-                        continue
-                    if distinct_irr and max(vector, default=0) > 1:
-                        continue
-                    if not lone_ok and any(m % 2 for m in vector):
-                        continue
-                    union = 0
-                    for f, m in zip(atom_flags, vector):
-                        if m:
-                            union |= f
-                    want[union] += 1
-                got = _branch_weights(flag_counts, lone_ok, distinct_irr, k)
-                assert got == tuple(want[u] for u in range(4)), (
-                    flag_counts, lone_ok, distinct_irr, k
+                got = _branch_weights(atoms, lone_ok, distinct_irr, k)
+                assert got == tuple(vectors(n, k, lone_ok, distinct_irr) for n in atoms), (
+                    atoms, lone_ok, distinct_irr, k
                 )
 
 

@@ -136,11 +136,18 @@ def test_closed_form_matches_oracle_spot(p):
     assert tensor_pair(p, p, p) == tensor_pair_oracle(p, p, p)
 
 
-def test_oracle_matches_closed_form_on_all_pairs_at_17():
-    p = 17
+def _assert_oracle_matches_closed_form_on_all_pairs(p):
     for m in range(1, p + 1):
-        for n in range(m, p + 1):  # all 153 pairs
+        for n in range(m, p + 1):
             assert tensor_pair_oracle(m, n, p) == tensor_pair(m, n, p), (m, n)
+
+
+def test_oracle_matches_closed_form_on_all_pairs_at_17():
+    _assert_oracle_matches_closed_form_on_all_pairs(17)  # 153 pairs
+
+
+def test_oracle_matches_closed_form_on_all_pairs_at_19():
+    _assert_oracle_matches_closed_form_on_all_pairs(19)  # 190 pairs
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,7 +158,7 @@ def test_form_answers_frozen():
             lines.append(f"{p} {format_descriptor(d)} {form_type(d).value} {admits}")
     assert len(lines) == 328
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "cab311189b17549263888f69ce6afca9ed5bd81d07c9b8a5f2ec92dc956925e0"
+    assert digest == "ce0943c2817117965d3300eac9236a1ce28c789d3a547c00148d73082c5b051b"
 
 
 def test_realize_examples():
