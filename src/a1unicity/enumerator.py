@@ -26,11 +26,12 @@ ways to spread K copies over the group's atoms at that bound.  Over N
 atoms, k copies spread in
 
   * C(k + N - 1, N - 1) ways when a lone copy carries the ambient form
-    (sl2modules.lone_copy_admits, asked once per query);
+    (sl2modules.lone_copy_admits, asked once per group key for each
+    ambient form);
   * C(k/2 + N - 1, N - 1) ways for even k, and none for odd k, when it
     does not: the copies pair up hyperbolically;
   * C(N, k) ways with distinct_irr, where a group whose lone copy
-    cannot carry the form is unusable (_usable_groups).
+    cannot carry the form is skipped.
 
 At the leaf the leftover 1-blocks are the trivial summand, of a size
 _trivial_sizes admits.  At T = 1 the bound T - 2 admits no twist, so
@@ -111,7 +112,7 @@ the Clebsch-Gordan branch of jordan._tensor_pair_blocks.  The weights,
 the forms (the parity of the weight sum) and the atoms per twist bound
 do not see p either.  So the count, the growth flag and the listing are
 the same at every prime above the largest block.  The tables rely on it:
-when every weight sum is at most p - 2, _tuples and _usable_groups (and
+when every weight sum is at most p - 2, _tuples and _group_table (and
 count_table's, when max_dim <= p - 2) are read at one canonical prime,
 the least prime >= max_sum + 2 (_table_prime), so one table serves
 every prime above the blocks and the caches do not grow with p.
@@ -310,7 +311,8 @@ def _weight_tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
     return grow((), max_dim, max_sum)
 
 
-# bounded: a full selfcheck reads 110 tables and an enumeration-sweep phase at most 59
+# bounded: a full selfcheck keeps 112 (110 tables and its 2 jordan_menu walks) and an
+# enumeration-sweep phase at most 59
 @lru_cache(maxsize=256)
 def _tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
     """_weight_tuples(p, max_twist, max_dim, max_sum) when there are at
@@ -320,31 +322,31 @@ def _tuples(p: int, max_twist: int, max_dim: int, max_sum: int):
     return walk if len(walk) <= MAX_SEARCH else None
 
 
-# bounded: a full selfcheck asks for 11 and an enumeration-sweep phase at most 5
-@lru_cache(maxsize=64)
-def _least_prime(n: int) -> int:
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def _table_prime(p: int, max_sum: int) -> int:
     """The prime whose tables serve weight sums up to max_sum at p: the
     least prime >= max_sum + 2 when max_sum <= p - 2, since below block p
     the tables do not depend on p (see the module docstring), else p."""
-    return _least_prime(max_sum + 2) if max_sum <= p - 2 else p
+    if max_sum > p - 2:
+        return p
+    q = max_sum + 2
+    while not is_prime(q):
+        q += 1
+    return q
 
 
 # bounded: a full selfcheck keeps 121, an enumeration-sweep phase at most 56, and one
 # D = 50 table (dn_partition_list(25, 13)) 217
 @lru_cache(maxsize=1024)
 def _group_key(p: int, weights: tuple[int, ...]):
-    """((block size, count) pairs, form type) of the atoms with these
-    weights: twists change neither the Jordan type nor the form.  Weight
-    tuples of one Jordan type can differ in form (J_p tensor J_a is a
-    copies of J_p), so the form is part of the group key."""
+    """((block size, count) pairs, lone) of the atoms with these weights:
+    twists change neither the Jordan type nor the form.  lone[a] says
+    whether a lone copy carries the ambient form _AMBIENT[a], which
+    determines the atoms' form.  Weight tuples of one Jordan type can
+    differ in form (J_p tensor J_a is a copies of J_p), so lone is part of
+    the group key."""
     blocks = tensor_multi([w + 1 for w in weights], p).blocks
-    return tuple(Counter(blocks).items()), weights_form(weights)
+    form = weights_form(weights)
+    return tuple(Counter(blocks).items()), tuple(lone_copy_admits(form, a) for a in _AMBIENT)
 
 
 # bounded: a full selfcheck reads 110 tables and an enumeration-sweep phase at most 59
@@ -352,7 +354,7 @@ def _group_key(p: int, weights: tuple[int, ...]):
 def _group_table(p: int, max_twist: int, max_dim: int, max_sum: int):
     """The twisted tensor-product irreducibles of _tuples(p, max_twist,
     max_dim, max_sum), with twists drawn from 0..max_twist, grouped by
-    _group_key: rows ((block size, count) pairs, form type, weight tuples,
+    _group_key: rows ((block size, count) pairs, lone, weight tuples,
     atoms at each twist bound), where the atoms at bound b, for b = 0, 1,
     2, are those with all twists in 0..max_twist - b: C(max_twist + 1 - b,
     k) per tuple of k weights."""
@@ -363,8 +365,8 @@ def _group_table(p: int, max_twist: int, max_dim: int, max_sum: int):
         for b in range(3):
             atoms[b] += comb(max_twist + 1 - b, len(weights))
     return tuple(
-        (blocks, form, tuple(tuples), tuple(atoms))
-        for (blocks, form), (tuples, atoms) in groups.items()
+        (blocks, lone, tuple(tuples), tuple(atoms))
+        for (blocks, lone), (tuples, atoms) in groups.items()
     )
 
 
@@ -382,9 +384,14 @@ def jordan_menu(
     """
     if max_dim < 1:
         raise InvalidQueryError("max_dim must be >= 1")
-    out = []
     # at most log2(max_dim) < max_dim.bit_length() factors fit
-    for weights in _weight_tuples(p, max_dim.bit_length(), max_dim, max_dim):
+    walk = _tuples(p, max_dim.bit_length(), max_dim, max_dim)
+    if walk is None:
+        raise InvalidQueryError(
+            f"menu too large: more than {MAX_SEARCH} weight tuples of dimension <= {max_dim}"
+        )
+    out = []
+    for weights in walk:
         if list(weights) != sorted(weights):
             continue
         desc = IrreducibleDescriptor(
@@ -396,37 +403,10 @@ def jordan_menu(
     return out
 
 
-# bounded: a full selfcheck keeps 178 and an enumeration-sweep phase at most 106
-@lru_cache(maxsize=512)
-def _usable_groups(ambient: int, distinct_irr, p, max_twist, max_dim, max_sum):
-    """The rows of _group_table(p, max_twist, max_dim, max_sum) with the
-    form replaced by lone_ok (lone_copy_admits with the ambient form
-    _AMBIENT[ambient]), dropping those without it under distinct_irr,
-    where every summand is a lone copy."""
-    table = _group_table(p, max_twist, max_dim, max_sum)
-    form = _AMBIENT[ambient]
-    rows = [(j, lone_copy_admits(f, form), t, n) for j, f, t, n in table]
-    return tuple(row for row in rows if row[1] or not distinct_irr)
-
-
 def _trivial_sizes(step: int, distinct_irr: bool, room: int) -> range:
     """The admissible trivial summand sizes up to room: multiples of the
     ambient form's trivial_step, and at most one line with distinct_irr."""
     return range(0, (min(room, 1) if distinct_irr else room) + 1, step)
-
-
-def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
-    """The ways to spread k copies over this many atoms: any
-    multiplicities, even ones only when a lone copy cannot carry the
-    ambient form, or distinct atoms under distinct_irr (whose groups all
-    carry the form)."""
-    if distinct_irr:
-        return comb(atoms, k)
-    if not atoms:
-        return int(k == 0)
-    if lone_ok:
-        return comb(k + atoms - 1, atoms - 1)
-    return comb(k // 2 + atoms - 1, atoms - 1) if k % 2 == 0 else 0
 
 
 # bounded: count_table asks for every copies count k up to max_dim, while a
@@ -434,8 +414,16 @@ def _spread(k: int, atoms: int, lone_ok: bool, distinct_irr: bool) -> int:
 @lru_cache(maxsize=256)
 def _branch_weights(atoms, lone_ok: bool, distinct_irr: bool, k: int):
     """The ways to spread k copies over a group with these atoms at each
-    twist bound."""
-    return tuple(_spread(k, n, lone_ok, distinct_irr) for n in atoms)
+    twist bound: any multiplicities, even ones only when a lone copy
+    cannot carry the ambient form, or distinct atoms under distinct_irr
+    (whose groups all carry the form)."""
+    if distinct_irr:
+        return tuple(comb(n, k) for n in atoms)
+    if not lone_ok:
+        if k % 2:
+            return (0,) * len(atoms)
+        k //= 2  # the copies pair up hyperbolically
+    return tuple(comb(k + n - 1, n - 1) if n else int(k == 0) for n in atoms)
 
 
 def _joined(value, ways, tally):
@@ -586,7 +574,7 @@ class _Search:
             follows it), else those within the other pool.  The two name
             every spread once."""
             if (j, k, zero) not in split:
-                copies = 1 if self.groups[j].lone_ok or self.distinct_irr else 2
+                copies = 1 if self.groups[j].lone_ok else 2
                 first = atoms(j, zero)
                 # a spread of one pick reads no atom from the other pool
                 pool = first + atoms(j, False) if zero and k > copies else first
@@ -673,6 +661,10 @@ def enumerate_embeddings(
     MAX_SEARCH raise InvalidQueryError before anything is built.
     """
     blocks = tuple(partition.parts) if hasattr(partition, "parts") else tuple(partition)
+    if not blocks:
+        raise InvalidQueryError("empty partition")
+    if min(blocks) < 1:
+        raise InvalidQueryError(f"nonpositive part in {blocks}")
     ambient = _check_query(form, p, max_twist, dim, blocks)
 
     target = dict.fromkeys(sorted(blocks, reverse=True), 0)  # blocks per size
@@ -684,7 +676,7 @@ def enumerate_embeddings(
         states *= m + 1
     # the largest Jordan block of an atom is min(p, 1 + its weight sum),
     # and a group fits only if that is a block of the partition
-    top = sizes[0] if sizes else 1
+    top = sizes[0]
     max_sum = top - 1 if top < p else dim
     q = _table_prime(p, max_sum)
     walk = _tuples(q, max_twist, dim, max_sum)
@@ -698,11 +690,11 @@ def enumerate_embeddings(
     fits = []  # (tuples, need, lone_ok, atoms, most) of each group that fits
     last = [-1] * len(sizes)  # the last group using each block size
     copies = 0
-    for jordan, lone_ok, tuples, atoms in _usable_groups(
-        ambient, distinct_irr, q, max_twist, dim, max_sum
-    ):
+    for jordan, lone, tuples, atoms in _group_table(q, max_twist, dim, max_sum):
+        lone_ok = lone[ambient]
         most = min([target.get(size, 0) // n for size, n in jordan])  # copies that fit
-        if not most:
+        # under distinct_irr every summand is a lone copy
+        if not most or distinct_irr and not lone_ok:
             continue
         need = [0] * len(sizes)
         for size, n in jordan:
@@ -768,8 +760,10 @@ def count_table(
     tallies = {0: _LEAF}  # code -> completions at each twist bound
     dims = {0: 0}  # code -> dimension
     steps = 0
-    table = _usable_groups(ambient, distinct_irr, q, max_twist, max_dim, max_dim)
-    for jordan, lone_ok, _, atoms in table:
+    for jordan, lone, _, atoms in _group_table(q, max_twist, max_dim, max_dim):
+        lone_ok = lone[ambient]
+        if distinct_irr and not lone_ok:
+            continue  # every summand is a lone copy
         shift = sum(n * base ** (size - 1) for size, n in jordan)  # one copy's code
         dim = sum(size * n for size, n in jordan)
         # with distinct_irr no more copies than atoms

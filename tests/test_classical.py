@@ -23,7 +23,7 @@ from a1unicity.errors import (
     NoWitnessRuleError,
     ParityViolationError,
 )
-from a1unicity.ffmatrix import PrimeField
+from a1unicity.ffmatrix import PrimeField, is_prime
 from a1unicity.jordan import jordan_type_of_unipotent
 from a1unicity.sl2modules import (
     FormType,
@@ -207,3 +207,30 @@ def test_verdicts_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7f8dfd97c964bbebfb9a75e0f364abfa5b5f657751233362f54213b84d7e8be9"
     )
+
+
+def test_one_prime_above_the_blocks_decides_every_larger_prime():
+    """Every partition with largest block >= 2 of SL 2-18, Sp 4-24 and
+    SO 7-22 gets the same kind, reason and witness pair text at the
+    least prime above its largest block and at the next three primes:
+    above the blocks p enters the classifier through no rule.  Identity
+    partitions are left out, since at p = 2 they carry the bad-prime
+    reason."""
+    primes = [q for q in range(2, 60) if is_prime(q)]
+
+    def answer(g, part, p):
+        v = unicity_verdict(g, part, p)
+        pair = v.witness_pair and tuple(map(format_descriptor, v.witness_pair))
+        return v.kind, v.reason, pair
+
+    checked = 0
+    for make, dims in ((SL, range(2, 19)), (Sp, range(4, 25, 2)), (SO, range(7, 23))):
+        for dim in dims:
+            for blocks in partitions_bounded(dim, dim)[:-1]:  # all but (1^dim)
+                g, part = make(dim), Partition(blocks)
+                least, *larger = [q for q in primes if q > blocks[0]][:4]
+                want = answer(g, part, least)
+                for q in larger:
+                    assert answer(g, part, q) == want, (g, part, q)
+                checked += 1
+    assert checked == 10141

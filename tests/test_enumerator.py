@@ -16,7 +16,6 @@ from a1unicity.enumerator import (
     _group_table,
     _table_prime,
     _tuples,
-    _usable_groups,
     canonicalize,
     count_table,
     dn_partition_list,
@@ -46,6 +45,7 @@ from a1unicity.sl2modules import (
     dimension,
     format_descriptor,
     jordan_type,
+    lone_copy_admits,
     parse_descriptor,
     realize,
 )
@@ -218,8 +218,10 @@ def test_count_table_equals_the_search(p, max_twist):
 
 
 def test_dn_partition_list_is_the_partitions_the_search_counts():
+    # n = 0 has only the empty partition, which the search refuses;
+    # test_dn_partition_list_refuses_what_the_search_refuses pins its empty list
     for p in (5, 7):
-        for n in range(11):
+        for n in range(1, 11):
             want = {
                 blocks
                 for blocks in partitions_bounded(2 * n, p)
@@ -301,6 +303,32 @@ def test_invalid_queries_raise():
     with pytest.raises(InvalidQueryError) as err:
         jordan_menu(FormType.NONE, 5, 0)
     assert (type(err.value), str(err.value)) == (InvalidQueryError, "max_dim must be >= 1")
+
+
+def test_raw_blocks_are_refused_as_partitions_are():
+    """A raw block tuple that Partition would refuse, empty or with a
+    block <= 0, is refused with Partition's text, not counted as 0."""
+    for dim, blocks, message in (
+        (0, (), "empty partition"),
+        (3, (3, 0), "nonpositive part in (3, 0)"),
+        (3, (4, -1), "nonpositive part in (4, -1)"),
+    ):
+        with pytest.raises(InvalidQueryError) as err:
+            enumerate_embeddings(FormType.NONE, dim, blocks, 5)
+        assert (type(err.value), str(err.value)) == (InvalidQueryError, message)
+
+
+def test_menu_past_the_budget_is_refused():
+    """jordan_menu walks at most MAX_SEARCH weight tuples: at p = 31,
+    dimension 3000 (218,548 tuples) is refused while dimension 1000 is
+    answered."""
+    with pytest.raises(InvalidQueryError) as err:
+        jordan_menu(FormType.NONE, 31, 3000)
+    assert (type(err.value), str(err.value)) == (
+        InvalidQueryError,
+        "menu too large: more than 100000 weight tuples of dimension <= 3000",
+    )
+    assert len(jordan_menu(FormType.NONE, 31, 1000)) == 2946
 
 
 def _valid_queries():
@@ -395,12 +423,12 @@ def test_group_atom_counts_match_built_atoms():
     """Each group's closed-form atoms at twist bound max_twist - b, for
     b = 0, 1, 2, equal the counts over its atoms built one by one whose
     twists lie in 0..max_twist - b, and each weight tuple has the group's
-    Jordan type and form."""
+    Jordan type and lone-copy flags."""
     groups = 0
     for p in (2, 3, 5, 7, 11, 13):
         for max_twist, max_dim in product(range(1, 7), range(1, 27)):
             table = _group_table(p, max_twist, max_dim, max_dim)
-            for blocks, form, tuples, atoms in table:
+            for blocks, lone, tuples, atoms in table:
                 built = [0] * 3
                 for weights in tuples:
                     jordan = tensor_multi([w + 1 for w in weights], p).blocks
@@ -409,7 +437,9 @@ def test_group_atom_counts_match_built_atoms():
                         atom = IrreducibleDescriptor(
                             tuple(map(IrreducibleFactor, weights, twists))
                         )
-                        assert atom.form_type() is form
+                        assert lone == tuple(
+                            lone_copy_admits(atom.form_type(), a) for a in enumerator._AMBIENT
+                        )
                         for b in range(3):
                             built[b] += atom.max_twist <= max_twist - b
                 assert tuple(built) == atoms, (p, max_twist, tuples)
@@ -568,16 +598,16 @@ def test_tables_below_block_p_do_not_depend_on_p():
 
 def test_table_caches_do_not_grow_with_the_prime():
     """One query at each of the 74 primes 11 <= q < 400 reads the tables
-    of q = 11 only: the caches keep one weight-tuple walk, 50 group keys,
-    one group table and one usable-group table, not one per prime."""
-    caches = (_tuples, _group_key, _group_table, _usable_groups)
+    of q = 11 only: the caches keep one weight-tuple walk, 50 group keys
+    and one group table, not one per prime."""
+    caches = (_tuples, _group_key, _group_table)
     for cache in caches:
         cache.cache_clear()
     primes = [q for q in range(11, 400) if is_prime(q)]
     assert len(primes) == 74
     for q in primes:
         enumerate_embeddings(FormType.NONE, 22, (10, 6, 3, 2, 1), q)
-    assert [cache.cache_info().currsize for cache in caches] == [1, 50, 1, 1]
+    assert [cache.cache_info().currsize for cache in caches] == [1, 50, 1]
 
 
 def test_module_caches_are_bounded():
@@ -593,7 +623,7 @@ def test_module_caches_are_bounded():
     ]
     assert {cache.__name__ for cache in caches} >= {
         "_trivial", "_tensor_pair_blocks",
-        "_tuples", "_group_key", "_group_table", "_usable_groups",
+        "_tuples", "_group_key", "_group_table",
     }
     assert all(cache.cache_info().maxsize is not None for cache in caches)
 
@@ -936,13 +966,12 @@ def test_so_unique_classes_do_not_split_under_so():
 
 
 def test_witness_pairs_are_two_listed_classes():
-    """Each classifier witness pair with all blocks below p, at p in
-    {5, 7, 11, 13} with at most 7 trivial blocks, canonicalizes to two
-    distinct classes of the enumeration's listing for its partition.
-    Pairs with a Weyl member have no canonical form and are skipped;
-    pairs with a block of size p are outside the argument that the
-    listing does not depend on p."""
-    checked = weyl = at_p = 0
+    """Each classifier witness pair with blocks up to p, at p in {5, 7,
+    11, 13} with at most 7 trivial blocks, canonicalizes to two distinct
+    classes of the enumeration's listing for its partition at that same
+    p, block p included.  Pairs with a Weyl member have no canonical form
+    and are skipped."""
+    checked = weyl = 0
     for p in (5, 7, 11, 13):
         for make in (SL, Sp, SO):
             for a in range(2, p + 1):
@@ -956,9 +985,6 @@ def test_witness_pairs_are_two_listed_classes():
                     if not all(d.is_completely_reducible for d in pair):
                         weyl += 1
                         continue
-                    if a == p:
-                        at_p += 1
-                        continue
                     first, second = map(canonicalize, pair)
                     listed = enumerate_embeddings(
                         FAMILY_FORM[g.family], g.dimension, blocks, p
@@ -967,4 +993,4 @@ def test_witness_pairs_are_two_listed_classes():
                         g, blocks, p,
                     )
                     checked += 1
-    assert (checked, weyl, at_p) == (56, 28, 16)
+    assert (checked, weyl) == (72, 28)

@@ -27,6 +27,10 @@ def _run_optimized(argv):
             ["rederive_classical.py", "--p", "5", "--max-dim", "6"],
             "29 partitions checked at p = 5; 0 disagreement(s)",
         ),
+        (
+            ["rederive_classical.py", "--p", "11", "--max-dim", "16"],
+            "1358 partitions checked at p = 11; 0 disagreement(s)",
+        ),
     ],
 )
 def test_script_runs_under_optimize(argv, last_line):
