@@ -14,8 +14,12 @@ column with the multiplier m[i, c]: its rows have strictly increasing
 leading columns with entry 1 and span the row space, which is all that
 rank reads and all that _reduced_echelon starts from.
 
-The Jordan-type oracle walks the kernel chain ker N < ker N^2 < ... of
-N = m - I (see jordan_block_sizes): one elimination of the n x 2n matrix
+The Jordan-type oracle refuses in two stages.  First the trace: a
+nilpotent N = m - I has trace 0, so an m whose N has nonzero trace mod p
+is refused as not unipotent after one O(n) sum of the diagonal, before
+any elimination.  Every trace-0 input then walks the kernel chain
+ker N < ker N^2 < ... of N (see jordan_block_sizes), which answers or
+refuses the rest: one elimination of the n x 2n matrix
 [N | I], then matrix products only, for the back-substitution to reduced
 echelon form and for every step of the chain.  Each product has inner
 dimension at most n, so each entry is a sum of at most n products below
@@ -48,7 +52,9 @@ int64 copy of the input beside [N | I] made it 16 n^2 (14.8 and
 
 rank and jordan_block_sizes raise ShapeError unless n*(p-1)^2 < 2^63,
 above MAX_DIMENSION rows or columns and for ragged rows; kronecker and
-sym_power need (p-1)^2 < 2^63.
+sym_power need (p-1)^2 < 2^63.  The builders (identity,
+unipotent_jordan_block, sym_power, kronecker, block_diagonal) raise
+ShapeError before they allocate a result above MAX_DIMENSION rows.
 
 Only the prime subfield is ever needed: all matrices built here (Jordan
 blocks, Kronecker products, and symmetric powers of the standard
@@ -189,8 +195,11 @@ class PrimeField(Frozen):
 def identity(n: int) -> np.ndarray:
     import numpy as np
 
-    if n <= 0:
+    if n == 0:
         raise EmptyMatrixError("identity of size 0 requested")
+    if n < 0:
+        raise ShapeError(f"negative identity size {n}")
+    _check_dimension("identity", n)
     return np.eye(n, dtype=np.int64)
 
 
@@ -209,6 +218,7 @@ def unipotent_jordan_block(field: PrimeField, m: int) -> np.ndarray:
         raise OrderExceedsPError(
             f"block size {m} > p = {field.p} forces order p^2 or higher"
         )
+    _check_dimension("Jordan block", m)
     import numpy as np
 
     return identity(m) + np.eye(m, k=1, dtype=np.int64)
@@ -455,6 +465,7 @@ def sym_power(c: int, field: PrimeField) -> np.ndarray:
     if c < 0:
         raise ShapeError(f"negative exponent {c}")
     n = c + 1
+    _check_dimension("symmetric power", n)
     out = np.zeros((n, n), dtype=np.int64)
     out[0] = 1  # C(j, 0)
     for j in range(1, n):
@@ -468,10 +479,16 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
 
     Computed from the rank sequence of N = m - I: the number of blocks of
     size >= s is rank(N^(s-1)) - rank(N^s) = dim ker N^s - dim ker
-    N^(s-1).  Raises NotOrderPError unless N^p = 0 (equivalently, m is
-    unipotent with all blocks <= p), and ShapeError for ragged rows,
-    above MAX_DIMENSION or unless n*(p-1)^2 < 2^63, the bound of the
-    exact products (see the module docstring).
+    N^(s-1).  Raises ShapeError for ragged rows, above MAX_DIMENSION or
+    unless n*(p-1)^2 < 2^63, the bound of the exact products (see the
+    module docstring), and NotOrderPError unless N^p = 0 (equivalently,
+    m is unipotent with all blocks <= p).  NotOrderPError is decided in
+    this order: "matrix is not unipotent" when tr N != 0 mod p, by one
+    sum of the reduced diagonal before any elimination (a nilpotent N
+    has trace 0); then, for trace 0, by the walk below: "matrix is not
+    unipotent" when the ranks of N^s stop falling above 0, and
+    "(m - 1)^{p} != 0: element order exceeds p = {p}" when N^p != 0 is
+    reached first.
 
     Every matrix is held in the narrowest exact width for n and p:
     int32 with float32 products while n*(p-1)^2 < 2^24, int64 with
@@ -512,7 +529,11 @@ def jordan_block_sizes(m: np.ndarray, field: PrimeField) -> tuple[int, ...]:
     aug = np.zeros((n, 2 * n), dtype=storage)
     field.reduce(m, out=aug[:, :n])
     diagonal = np.arange(n)
-    aug[diagonal, diagonal] = (aug[diagonal, diagonal] - 1) % p
+    shifted = (aug[diagonal, diagonal] - 1) % p
+    # a nilpotent N has trace 0: refuse a nonzero trace before eliminating
+    if int(shifted.sum()) % p:
+        raise NotOrderPError("matrix is not unipotent")
+    aug[diagonal, diagonal] = shifted
     aug[diagonal, n + diagonal] = 1
     reduced, pivot = _reduced_echelon(aug, field, n, dtype)
     r = reduced.shape[0]

@@ -30,6 +30,8 @@ from a1unicity.ffmatrix import (
 )
 from a1unicity.jordan import tensor_pair, tensor_pair_oracle
 
+_OVERSIZED = f"dimension {MAX_DIMENSION + 1} exceeds the configured bound {MAX_DIMENSION}"
+
 
 def test_prime_field_rejects_composites():
     for bad in (0, 1, 4, 6, 9, 15):
@@ -198,6 +200,46 @@ def test_rejections_survive_conjugation():
     assert str(err.value) == "matrix is not unipotent"
     # the same conjugate is a legal element once p admits the block
     assert jordan_block_sizes(_conjugate(long_block), PrimeField(7)) == (7,) + (1,) * 5
+
+
+def _walk_refusal(a, p):
+    """jordan_block_sizes' message on a, whose N = a - I has trace 0, so
+    the refusal comes from the kernel-chain walk."""
+    a = _conjugate_randomly(np.asarray(a, dtype=np.int64), p, np.random.default_rng(p))
+    assert (np.trace(a) - len(a)) % p == 0
+    with pytest.raises(NotOrderPError) as err:
+        jordan_block_sizes(a, PrimeField(p))
+    return str(err.value)
+
+
+def test_trace_zero_refusals_come_from_the_walk():
+    # eigenvalues 3 and 4: tr N = 2 + 3 = 0 mod 5, and N is invertible
+    assert _walk_refusal(np.diag([3, 4]), 5) == "matrix is not unipotent"
+    # J(4) + 2 I_3: N^3 != 0 is reached before its ranks stop falling
+    a = np.eye(7, dtype=np.int64) * np.array([1, 1, 1, 1, 2, 2, 2])
+    for i in range(3):
+        a[i, i + 1] = 1
+    assert _walk_refusal(a, 3) == "(m - 1)^3 != 0: element order exceeds p = 3"
+
+
+def test_nonzero_trace_is_refused_before_any_elimination():
+    # J(6) + (2) at p = 5: tr N = 1; the walk alone would have reached
+    # N^5 != 0 first and named the element order
+    a = np.eye(7, dtype=np.int64)
+    for i in range(5):
+        a[i, i + 1] = 1
+    a[6, 6] = 2
+    a = _conjugate_randomly(a, 5, np.random.default_rng(6))
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("a nonzero trace reached the elimination")
+
+    for m in (a, 2 * identity(3), _conjugate(np.diag([1] * 11 + [2]))):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ffmatrix, "_echelon", no_elimination)
+            with pytest.raises(NotOrderPError) as err:
+                jordan_block_sizes(m, PrimeField(5))
+        assert str(err.value) == "matrix is not unipotent"
 
 
 def _rank_one(p):
@@ -477,10 +519,13 @@ def _reference_jordan_type(m, p):
     """Jordan type of m from the ranks of the explicit powers of N = m - 1.
 
     Plain Python integers and _reference_echelon; it stops and raises as
-    jordan_block_sizes is specified to.
+    jordan_block_sizes is specified to: a nonzero trace of N first, then
+    the powers.
     """
     n = len(m)
     nil = [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
+    if sum(nil[i][i] for i in range(n)) % p:
+        raise NotOrderPError("matrix is not unipotent")
     columns = list(zip(*nil))
     power, ranks = nil, [n]
     while True:
@@ -534,10 +579,17 @@ _ORACLE_PRIMES = (2, 3, 5, 7, 13, 4099, 100000007)
 @st.composite
 def _oracle_inputs(draw):
     """An n x n matrix over GF(p), n <= 20: a conjugated unipotent with blocks
-    up to p + 2, an upper unitriangular, a random, or a conjugated unipotent
-    with one eigenvalue changed."""
+    up to p + 2, an upper unitriangular, a random, a conjugated unipotent
+    with one eigenvalue changed, or that last with a second diagonal entry
+    of its Jordan form then set so that tr(m - I) = 0 mod p.
+
+    A nonzero trace is refused before the kernel-chain walk, and the
+    random and perturbed kinds have one with probability about 1 - 1/p;
+    the trace-0 kind reaches the walk at every prime."""
     p = draw(st.sampled_from(_ORACLE_PRIMES))
-    kind = draw(st.sampled_from(("unipotent", "unitriangular", "random", "perturbed")))
+    kind = draw(
+        st.sampled_from(("unipotent", "unitriangular", "random", "perturbed", "trace-0"))
+    )
     n = draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "unitriangular":
@@ -549,9 +601,12 @@ def _oracle_inputs(draw):
     while sum(blocks) < n:
         blocks.append(int(rng.integers(1, min(p + 2, n - sum(blocks)) + 1)))
     a = _jordan_matrix(blocks)
-    if kind == "perturbed":
+    if kind in ("perturbed", "trace-0"):
         i = int(rng.integers(0, n))
         a[i, i] = int(rng.integers(0, p))
+    if kind == "trace-0":
+        i = int(rng.integers(0, n))
+        a[i, i] = (n - np.trace(a) + a[i, i]) % p  # tr(a) = n, so tr(a - I) = 0
     return _conjugate_randomly(a, p, rng), p
 
 
@@ -604,6 +659,19 @@ _F5 = PrimeField(5)
     [
         (lambda: _F5.inverse(0), ZeroDivisionError, "0 has no inverse in GF(p)"),
         (lambda: identity(0), EmptyMatrixError, "identity of size 0 requested"),
+        (lambda: identity(-2), ShapeError, "negative identity size -2"),
+        (lambda: identity(MAX_DIMENSION + 1), ShapeError, f"identity {_OVERSIZED}"),
+        (
+            lambda: unipotent_jordan_block(PrimeField(4099), MAX_DIMENSION + 1),
+            ShapeError,
+            f"Jordan block {_OVERSIZED}",
+        ),
+        (lambda: sym_power(MAX_DIMENSION, _F5), ShapeError, f"symmetric power {_OVERSIZED}"),
+        (
+            lambda: tensor_pair_oracle(5000, 1, 5003),
+            ShapeError,
+            "Jordan block dimension 5000 exceeds the configured bound 4096",
+        ),
         (lambda: unipotent_jordan_block(_F5, -1), ShapeError, "negative block size -1"),
         (lambda: block_diagonal([]), EmptyMatrixError, "no blocks given"),
         (lambda: rank([1, 2], _F5), ShapeError, "rank expects a 2-d matrix"),
@@ -618,8 +686,9 @@ _F5 = PrimeField(5)
             "jordan type of a 0 x 0 matrix requested",
         ),
     ],
-    ids=["inverse-0", "identity-0", "negative-block", "no-blocks", "rank-1d",
-         "jordan-2x3", "jordan-0x0"],
+    ids=["inverse-0", "identity-0", "identity-negative", "identity-oversized",
+         "block-oversized", "sym-power-oversized", "oracle-block-oversized",
+         "negative-block", "no-blocks", "rank-1d", "jordan-2x3", "jordan-0x0"],
 )
 def test_refusals_name_their_cause(call, error, message):
     with pytest.raises(error) as err:
