@@ -29,6 +29,15 @@ from functools import cache
 
 from .errors import DomainError, InvalidQueryError, VerdictKind
 
+# One BLAS thread unless the caller chose one: the oracle's products in a
+# selfcheck or a typical query have at most a few hundred rows, where a
+# second OpenBLAS thread saves nothing (oracle products of 90-460 rows
+# time the same with one), while its spin-wait between products takes CPU
+# from the main thread.  On a busy two-vCPU host that made some selfcheck
+# runs take 1.6 times as long as others.  It must be set before numpy
+# loads OpenBLAS, and nothing above imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 def _lazy(name: str):
     """The package module `name`, registered in sys.modules and on the

@@ -419,6 +419,22 @@ assert executed() == sorted(_names), executed()
 """)
 
 
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")])
+def test_cli_process_uses_one_blas_thread_unless_told(given, want):
+    """Importing cli, before numpy loads, asks OpenBLAS for one thread
+    and keeps a count the caller set."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, sys; from a1unicity import cli; "
+         "assert 'numpy' not in sys.modules; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
+
+
 def test_tracer_contract_holds_on_lazily_bound_modules():
     """An outside tracer that imports only a1unicity.cli finds every
     package module in sys.modules; vars() on a module executes it and
